@@ -1,6 +1,7 @@
 //! Kernel-layer benchmark: GEMM GFLOP/s (naive vs blocked vs
-//! parallel), end-to-end training-step throughput with the fused/blocked
-//! kernels on and off, and microbatched serving latency. Emits
+//! parallel), end-to-end training-step throughput on the scalar
+//! golden-reference kernels vs the dispatched SIMD tier, and
+//! microbatched serving latency. Emits
 //! `BENCH_pr3_kernels.json` at the workspace root.
 //!
 //! Run `cargo run --release -p voyager-bench --bin pr3_kernels` for the
@@ -187,7 +188,7 @@ fn seq_batch(b: usize, l: usize, page_vocab: usize) -> SeqBatch {
 
 struct TrainNumbers {
     batch_size: usize,
-    naive_steps_per_s: f64,
+    scalar_steps_per_s: f64,
     blocked_steps_per_s: f64,
     speedup: f64,
 }
@@ -203,21 +204,21 @@ fn bench_training(iters: usize) -> TrainNumbers {
         ot.set(i, (i * 17) % 64, 1.0);
     }
 
-    kernels::set_force_naive(true);
+    kernels::set_force_scalar(true);
     let mut model = VoyagerModel::new(&cfg, 64, page_vocab, 64);
-    let naive = time_per_iter(iters, || {
+    let scalar = time_per_iter(iters, || {
         std::hint::black_box(model.train_multi(&batch, &pt, &ot));
     });
-    kernels::set_force_naive(false);
+    kernels::set_force_scalar(false);
     let mut model = VoyagerModel::new(&cfg, 64, page_vocab, 64);
     let blocked = time_per_iter(iters, || {
         std::hint::black_box(model.train_multi(&batch, &pt, &ot));
     });
     TrainNumbers {
         batch_size: cfg.batch_size,
-        naive_steps_per_s: 1.0 / naive,
+        scalar_steps_per_s: 1.0 / scalar,
         blocked_steps_per_s: 1.0 / blocked,
-        speedup: naive / blocked,
+        speedup: scalar / blocked,
     }
 }
 
@@ -235,7 +236,7 @@ fn bench_serving(requests: usize) -> ServeNumbers {
     let model = VoyagerModel::new(&cfg, 64, page_vocab, 64);
     let service = ServiceConfig::new(2)
         .build(model)
-        .expect("tape mode needs no tables");
+        .expect("the f32 fast path needs no tables");
     let (server, client) = MicrobatchServer::spawn(service, MicrobatchConfig::default());
     let clients = 4;
     std::thread::scope(|scope| {
@@ -307,9 +308,9 @@ fn render_json(
         "  \"parallel_bitwise_identical\": {deterministic},\n"
     ));
     s.push_str(&format!(
-        "  \"training\": {{\"batch_size\": {}, \"naive_steps_per_s\": {}, \"blocked_steps_per_s\": {}, \"speedup\": {}}},\n",
+        "  \"training\": {{\"batch_size\": {}, \"scalar_steps_per_s\": {}, \"blocked_steps_per_s\": {}, \"speedup\": {}}},\n",
         train.batch_size,
-        fmt_f(train.naive_steps_per_s),
+        fmt_f(train.scalar_steps_per_s),
         fmt_f(train.blocked_steps_per_s),
         fmt_f(train.speedup),
     ));
@@ -354,8 +355,8 @@ fn main() {
 
     let train = bench_training(train_iters);
     println!(
-        "training: {:.3} steps/s naive, {:.3} steps/s blocked ({:.1}x), batch {}",
-        train.naive_steps_per_s, train.blocked_steps_per_s, train.speedup, train.batch_size
+        "training: {:.3} steps/s scalar, {:.3} steps/s blocked ({:.1}x), batch {}",
+        train.scalar_steps_per_s, train.blocked_steps_per_s, train.speedup, train.batch_size
     );
     let serve = bench_serving(serve_requests);
     println!(

@@ -1,5 +1,5 @@
-//! Distilled-table serving benchmark: the four serving tiers (tape,
-//! f32 fast path, int8 fast path, distilled tables with int8 fallback)
+//! Distilled-table serving benchmark: the three serving tiers (f32
+//! fast path, int8 fast path, distilled tables with int8 fallback)
 //! through the microbatch server, at the same serving-shaped
 //! configuration as `pr5_infer`. Reports p50/p99 latency and
 //! throughput per tier, the distillation report (table geometry,
@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use voyager::{SeqBatch, VoyagerConfig, VoyagerModel};
+use voyager_bench::mode_name;
 use voyager_distill::{distill, DistillReport, TableConfig};
 use voyager_runtime::{
     InferenceRequest, MicrobatchConfig, MicrobatchServer, PredictMode, ServiceConfig,
@@ -90,15 +91,6 @@ fn corpus(requests: usize, seq_len: usize, page_vocab: usize) -> SeqBatch {
         c.offset.push(r.offset);
     }
     c
-}
-
-fn mode_name(mode: PredictMode) -> &'static str {
-    match mode {
-        PredictMode::Tape => "tape",
-        PredictMode::FastF32 => "fast_f32",
-        PredictMode::FastInt8 => "fast_int8",
-        PredictMode::Table => "table",
-    }
 }
 
 struct PathNumbers {
@@ -384,7 +376,6 @@ fn main() {
     let mut paths = Vec::new();
     let mut table_extra = None;
     for mode in [
-        PredictMode::Tape,
         PredictMode::FastF32,
         PredictMode::FastInt8,
         PredictMode::Table,
@@ -413,8 +404,8 @@ fn main() {
         counters.misses,
     );
 
-    let int8_p50 = paths[2].p50_us;
-    let table_p50 = paths[3].p50_us;
+    let int8_p50 = paths[1].p50_us;
+    let table_p50 = paths[2].p50_us;
     println!(
         "table speedup over int8 (p50): {:.1}x",
         if table_p50 > 0.0 {

@@ -25,23 +25,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use voyager_bench::fleet_demo;
+use voyager_bench::{fleet_demo, mode_name};
 use voyager_runtime::{
-    FleetClient, FleetError, FleetServer, FleetStats, ModelRegistry, PredictMode, ShardSpec,
-    WorkloadId,
+    FleetClient, FleetError, FleetServer, FleetStats, ModelRegistry, ShardSpec, WorkloadId,
 };
 
 const SHARDS: usize = 4;
 const SWAP_WORKLOAD: WorkloadId = WorkloadId(0);
-
-fn mode_name(mode: PredictMode) -> &'static str {
-    match mode {
-        PredictMode::Tape => "tape",
-        PredictMode::FastF32 => "fast_f32",
-        PredictMode::FastInt8 => "fast_int8",
-        PredictMode::Table => "table",
-    }
-}
 
 /// Closed-loop load: `clients` threads per shard, each issuing
 /// `per_client` requests of its workload's stream. Returns

@@ -23,13 +23,13 @@
 //!                        [--clients C] [--max-batch B]
 //!                        [--max-delay-us U] [--degree D]
 //!                        [--config test|scaled]
-//!                        [--mode tape|fast|int8|table]
+//!                        [--mode fast|int8|table]
 //!     Drive the microbatched inference server with C client threads
-//!     and print throughput plus p50/p99 latency. `--mode fast` serves
-//!     through the tape-free f32 engine, `--mode int8` through the
-//!     quantized one, `--mode table` through distilled lookup tables
-//!     (built from the stream's own windows; misses fall back to
-//!     int8); `tape` (default) is the reference path.
+//!     and print throughput plus p50/p99 latency. `--mode fast` (the
+//!     default) serves through the tape-free f32 engine, `--mode int8`
+//!     through the quantized one, `--mode table` through distilled
+//!     lookup tables (built from the stream's own windows; misses fall
+//!     back to int8).
 //! voyagerctl fleet-bench [--shards N] [--clients C] [--requests R]
 //!                        [--depth D] [--slo-us S] [--train-steps T]
 //!     Spawn an N-shard multi-tenant fleet (shards cycle through the
@@ -60,9 +60,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use voyager::{
-    DeltaLstm, DeltaLstmConfig, OnlineRun, SeqBatch, TrainingSet, VoyagerConfig, VoyagerModel,
+    positions_with_history, DeltaLstm, DeltaLstmConfig, OnlineRun, SeqBatch, TrainingSet,
+    VoyagerConfig, VoyagerModel,
 };
 use voyager_bench::fleet_demo;
+use voyager_distill::{distill, DistillReport, TableConfig};
 use voyager_obs::{Profiler, Registry};
 use voyager_prefetch::{
     BestOffset, Domino, Isb, IsbBoHybrid, IsbStructural, Markov, NextLine, Prefetcher, Sms, Stms,
@@ -71,13 +73,14 @@ use voyager_prefetch::{
 use voyager_runtime::{
     train_data_parallel, train_data_parallel_profiled, CheckpointManager, FleetConfig, FleetError,
     FleetServer, InferenceRequest, MicrobatchConfig, MicrobatchServer, ModelRegistry, PredictMode,
-    ServiceConfig, TrainerConfig,
+    ServiceConfig, TrainerConfig, VoyagerService,
 };
 use voyager_sim::{llc_stream, unified_accuracy_coverage_windowed, SimConfig};
 use voyager_trace::gen::{Benchmark, GeneratorConfig};
 use voyager_trace::serialize::{read_trace, write_trace};
 use voyager_trace::simpoint::simpoints;
 use voyager_trace::stats::TraceStats;
+use voyager_trace::vocab::{TokenizedAccess, Vocabulary};
 use voyager_trace::Trace;
 
 fn main() -> ExitCode {
@@ -300,7 +303,7 @@ fn cmd_train(args: &[String]) -> CliResult {
 
 fn cmd_serve_bench(args: &[String]) -> CliResult {
     let [source, rest @ ..] = args else {
-        return Err("usage: serve-bench <benchmark|trace.vtrc> [--requests N] [--clients C] [--max-batch B] [--max-delay-us U] [--degree D] [--config test|scaled] [--mode tape|fast|int8|table]".into());
+        return Err("usage: serve-bench <benchmark|trace.vtrc> [--requests N] [--clients C] [--max-batch B] [--max-delay-us U] [--degree D] [--config test|scaled] [--mode fast|int8|table]".into());
     };
     let flags = parse_flags(rest)?;
     let cfg = config_preset(flags.get("config"))?;
@@ -321,11 +324,10 @@ fn cmd_serve_bench(args: &[String]) -> CliResult {
         .transpose()?
         .unwrap_or(2);
     let mode = match flags.get("mode").map(String::as_str) {
-        None | Some("tape") => PredictMode::Tape,
-        Some("fast") => PredictMode::FastF32,
+        None | Some("fast") => PredictMode::FastF32,
         Some("int8") => PredictMode::FastInt8,
         Some("table") => PredictMode::Table,
-        Some(bad) => return Err(format!("unknown --mode {bad:?} (tape|fast|int8|table)").into()),
+        Some(bad) => return Err(format!("unknown --mode {bad:?} (fast|int8|table)").into()),
     };
     let mb = MicrobatchConfig {
         max_batch: flags
@@ -343,42 +345,15 @@ fn cmd_serve_bench(args: &[String]) -> CliResult {
     };
     let trace = load(source)?;
     let stream = llc_stream(&trace, &SimConfig::scaled());
-    let vocab = voyager_trace::vocab::Vocabulary::build(&stream, &cfg.vocab);
+    let vocab = Vocabulary::build(&stream, &cfg.vocab);
     let tokens = vocab.tokenize(&stream);
-    if tokens.len() < cfg.seq_len {
-        return Err("stream shorter than one history window".into());
-    }
-    // History windows over the stream, reused round-robin as the
-    // request workload.
-    let windows: Vec<InferenceRequest> = (cfg.seq_len - 1..tokens.len())
-        .map(|t| {
-            let w = &tokens[t + 1 - cfg.seq_len..=t];
-            InferenceRequest {
-                workload: Default::default(),
-                pc: w.iter().map(|a| a.pc as usize).collect(),
-                page: w.iter().map(|a| a.page as usize).collect(),
-                offset: w.iter().map(|a| a.offset as usize).collect(),
-            }
-        })
-        .collect();
-    let model = VoyagerModel::new(
-        &cfg,
-        vocab.pc_vocab_len(),
-        vocab.page_vocab_len(),
-        vocab.offset_vocab_len(),
-    );
+    let windows = stream_requests(&tokens, cfg.seq_len)?;
     println!(
         "serving {} requests from {} client(s) (max batch {}, max delay {:?}, degree {degree}, mode {mode:?})",
         requests, clients, mb.max_batch, mb.max_delay
     );
-    let service = if mode == PredictMode::Table {
-        let mut model = model;
-        let corpus = windows_to_corpus(&windows, 4096);
-        let (tables, report) = voyager_distill::distill(
-            &mut model,
-            &corpus,
-            &voyager_distill::TableConfig::for_budget(1 << 20),
-        );
+    let (service, report) = fresh_service(&cfg, &vocab, &tokens, mode, degree, 4096);
+    if let Some(report) = report {
         println!(
             "distilled {} windows: {} page / {} offset entries, {} KiB, corpus hit rate {}",
             report.samples,
@@ -389,17 +364,7 @@ fn cmd_serve_bench(args: &[String]) -> CliResult {
                 .hit_rate
                 .map_or_else(|| "n/a".to_string(), |r| format!("{r:.3}")),
         );
-        ServiceConfig::new(degree)
-            .mode(PredictMode::Table)
-            .tables(tables)
-            .build(model)
-            .expect("table mode with tables attached")
-    } else {
-        ServiceConfig::new(degree)
-            .mode(mode)
-            .build(model)
-            .expect("neural modes need no tables")
-    };
+    }
     let (server, client) = MicrobatchServer::spawn(service, mb);
     let per_client = requests.div_ceil(clients);
     std::thread::scope(|scope| {
@@ -434,17 +399,61 @@ fn cmd_serve_bench(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// Repackages the first `cap` request windows as a [`SeqBatch`]
-/// distillation corpus.
-fn windows_to_corpus(windows: &[InferenceRequest], cap: usize) -> SeqBatch {
-    let take = windows.len().min(cap);
-    let mut corpus = SeqBatch::default();
-    for w in &windows[..take] {
-        corpus.pc.push(w.pc.clone());
-        corpus.page.push(w.page.clone());
-        corpus.offset.push(w.offset.clone());
+/// Every history window of a tokenized stream as a request: the
+/// serving workload, reused round-robin.
+fn stream_requests(
+    tokens: &[TokenizedAccess],
+    seq_len: usize,
+) -> Result<Vec<InferenceRequest>, Box<dyn std::error::Error>> {
+    let positions = positions_with_history(0..tokens.len(), seq_len);
+    let windows = SeqBatch::from_windows(tokens, positions, seq_len);
+    if windows.is_empty() {
+        return Err("stream shorter than one history window".into());
     }
-    corpus
+    Ok(windows
+        .pc
+        .into_iter()
+        .zip(windows.page)
+        .zip(windows.offset)
+        .map(|((pc, page), offset)| InferenceRequest {
+            workload: Default::default(),
+            pc,
+            page,
+            offset,
+        })
+        .collect())
+}
+
+/// Wraps a fresh model over `vocab` as a service in `mode`. Table
+/// mode first distills tables from the first `distill_windows` history
+/// windows of `tokens`, and returns the distillation report too.
+fn fresh_service(
+    cfg: &VoyagerConfig,
+    vocab: &Vocabulary,
+    tokens: &[TokenizedAccess],
+    mode: PredictMode,
+    degree: usize,
+    distill_windows: usize,
+) -> (VoyagerService, Option<DistillReport>) {
+    let mut model = VoyagerModel::new(
+        cfg,
+        vocab.pc_vocab_len(),
+        vocab.page_vocab_len(),
+        vocab.offset_vocab_len(),
+    );
+    let config = ServiceConfig::new(degree).mode(mode);
+    if mode != PredictMode::Table {
+        let service = config.build(model).expect("neural modes need no tables");
+        return (service, None);
+    }
+    let positions = positions_with_history(0..tokens.len(), cfg.seq_len).take(distill_windows);
+    let corpus = SeqBatch::from_windows(tokens, positions, cfg.seq_len);
+    let (tables, report) = distill(&mut model, &corpus, &TableConfig::for_budget(1 << 20));
+    let service = config
+        .tables(tables)
+        .build(model)
+        .expect("table mode with tables attached");
+    (service, Some(report))
 }
 
 /// Runs a short end-to-end pipeline (timing sim, data-parallel
@@ -664,52 +673,18 @@ fn cmd_metrics(args: &[String]) -> CliResult {
 
     // Microbatched serving: the server's shared histograms split
     // request latency into queue wait and batched compute.
-    let vocab = voyager_trace::vocab::Vocabulary::build(&stream, &cfg.vocab);
-    let tokens = vocab.tokenize(&stream);
-    if tokens.len() < cfg.seq_len {
-        return Err("stream shorter than one history window".into());
-    }
-    let windows: Vec<InferenceRequest> = (cfg.seq_len - 1..tokens.len())
-        .map(|t| {
-            let w = &tokens[t + 1 - cfg.seq_len..=t];
-            InferenceRequest {
-                workload: Default::default(),
-                pc: w.iter().map(|a| a.pc as usize).collect(),
-                page: w.iter().map(|a| a.page as usize).collect(),
-                offset: w.iter().map(|a| a.offset as usize).collect(),
-            }
-        })
-        .collect();
-    let model = VoyagerModel::new(
+    let windows = stream_requests(set.tokens(), cfg.seq_len)?;
+    // Table mode distills from the first half of the request windows:
+    // the served second half then exercises both table hits and int8
+    // fallbacks, so every counter family observes traffic.
+    let (service, _) = fresh_service(
         &cfg,
-        vocab.pc_vocab_len(),
-        vocab.page_vocab_len(),
-        vocab.offset_vocab_len(),
+        set.vocab(),
+        set.tokens(),
+        serve_mode,
+        2,
+        windows.len().div_ceil(2),
     );
-    let service = if serve_mode == PredictMode::Table {
-        // Distill tables from the first half of the request windows:
-        // the served second half then exercises both table hits and
-        // int8 fallbacks, so every counter family observes traffic.
-        let mut model = model;
-        let corpus = windows_to_corpus(&windows, windows.len().div_ceil(2));
-        let (tables, _report) = voyager_distill::distill(
-            &mut model,
-            &corpus,
-            &voyager_distill::TableConfig::for_budget(1 << 20),
-        );
-        ServiceConfig::new(2)
-            .mode(PredictMode::Table)
-            .tables(tables)
-            .build(model)
-            .expect("table mode with tables attached")
-    } else {
-        // Pure quantized fast path: the int8-GEMM and arena counters
-        // below still observe live traffic.
-        ServiceConfig::new(2)
-            .mode(serve_mode)
-            .build(model)
-            .expect("neural modes need no tables")
-    };
     let stats = {
         let _serve = profiler.span("serve");
         let (server, client) = MicrobatchServer::spawn(service, MicrobatchConfig::default());

@@ -15,6 +15,7 @@
 
 use voyager::{OnlineRun, VoyagerConfig};
 use voyager_prefetch::Prefetcher;
+use voyager_runtime::PredictMode;
 use voyager_sim::{llc_stream, SimConfig};
 use voyager_trace::gen::{Benchmark, GeneratorConfig};
 use voyager_trace::Trace;
@@ -226,6 +227,15 @@ pub fn print_table(title: &str, columns: &[&str], rows: &[(String, Vec<f64>)]) {
             print!(" {:>12.3}", mean(&vals));
         }
         println!();
+    }
+}
+
+/// The name a bench JSON reports a serving mode under.
+pub fn mode_name(mode: PredictMode) -> &'static str {
+    match mode {
+        PredictMode::FastF32 => "fast_f32",
+        PredictMode::FastInt8 => "fast_int8",
+        PredictMode::Table => "table",
     }
 }
 

@@ -70,9 +70,8 @@ pub struct VoyagerConfig {
     /// Number of offset-embedding experts (Table 1: 100; total offset
     /// embedding size = experts * page_embed = 25600).
     pub experts: usize,
-    /// LSTM layers (Table 1: 1).
-    pub lstm_layers: usize,
     /// LSTM units for both the page and offset LSTM (Table 1: 256).
+    /// Both LSTMs have one layer, as in Table 1.
     pub lstm_units: usize,
     /// Dropout keep ratio (Table 1: 0.8).
     pub dropout_keep: f32,
@@ -121,7 +120,6 @@ impl VoyagerConfig {
             pc_embed: 64,
             page_embed: 256,
             experts: 100,
-            lstm_layers: 1,
             lstm_units: 256,
             dropout_keep: 0.8,
             batch_size: 256,
@@ -154,7 +152,6 @@ impl VoyagerConfig {
             pc_embed: 16,
             page_embed: 32,
             experts: 4,
-            lstm_layers: 1,
             lstm_units: 48,
             dropout_keep: 0.9,
             batch_size: 64,
@@ -188,7 +185,6 @@ impl VoyagerConfig {
             pc_embed: 8,
             page_embed: 12,
             experts: 2,
-            lstm_layers: 1,
             lstm_units: 16,
             dropout_keep: 1.0,
             batch_size: 16,
@@ -275,10 +271,6 @@ impl VoyagerConfig {
         assert!(self.page_embed > 0 && self.experts > 0 && self.lstm_units > 0);
         assert!(self.dropout_keep > 0.0 && self.dropout_keep <= 1.0);
         assert!(self.batch_size > 0 && self.degree > 0);
-        assert_eq!(
-            self.lstm_layers, 1,
-            "this reproduction implements 1-layer LSTMs (Table 1)"
-        );
         assert!(
             self.features.address || self.features.pc,
             "at least one input feature required"
@@ -307,7 +299,6 @@ mod tests {
         assert_eq!(c.page_embed, 256);
         assert_eq!(c.offset_embed(), 25_600); // Table 1: offset embedding 25600
         assert_eq!(c.experts, 100); // Table 1: # experts
-        assert_eq!(c.lstm_layers, 1);
         assert_eq!(c.lstm_units, 256);
         assert_eq!(c.dropout_keep, 0.8);
         assert_eq!(c.batch_size, 256);

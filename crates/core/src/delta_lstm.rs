@@ -17,6 +17,8 @@ use voyager_tensor::rng::{SeedableRng, StdRng};
 use voyager_nn::{Adam, Embedding, Layer, Linear, LstmCell, ParamStore, Session};
 use voyager_trace::Trace;
 
+use crate::data::{history_window, positions_with_history};
+use crate::online::epochs;
 use crate::OnlineRun;
 
 /// Hyperparameters for the Delta-LSTM baseline.
@@ -215,39 +217,23 @@ impl DeltaLstm {
             }))
             .collect();
 
-        let mut model = DeltaLstm::new(cfg, vocab);
-        let mut run = OnlineRun {
-            predictions: vec![Vec::new(); stream.len()],
-            epoch_losses: Vec::new(),
-            model_params: model.num_params(),
-            model_bytes: model.num_params() * 4,
-            train_seconds: 0.0,
-            predict_seconds: 0.0,
-            predicted_accesses: 0,
+        let windows = |chunk: &[usize]| -> Vec<&[u32]> {
+            chunk
+                .iter()
+                .map(|&t| history_window(&tokens, t, cfg.seq_len))
+                .collect()
         };
+
+        let mut model = DeltaLstm::new(cfg, vocab);
         let n = stream.len();
-        if n == 0 {
-            return run;
-        }
-        // Epochs are capped at half the stream so the online protocol
-        // always gets at least one train-then-predict split, even on
-        // streams shorter than the configured epoch.
-        let epoch_len = cfg.epoch_accesses.min(n / 2).max(cfg.seq_len * 2);
-        let mut epoch_start = 0usize;
-        let mut epoch_idx = 0usize;
-        while epoch_start < n {
-            let epoch_end = (epoch_start + epoch_len).min(n);
-            let usable: Vec<usize> = (epoch_start..epoch_end)
-                .filter(|&t| t + 1 >= cfg.seq_len)
-                .collect();
-            if epoch_idx > 0 {
+        let mut run = OnlineRun::empty(n, model.num_params(), model.num_params() * 4);
+        for (epoch, accesses) in epochs(n, cfg.epoch_accesses, cfg.seq_len).enumerate() {
+            let positions: Vec<usize> =
+                positions_with_history(accesses.clone(), cfg.seq_len).collect();
+            if epoch > 0 {
                 let t0 = Instant::now();
-                for chunk in usable.chunks(cfg.batch_size) {
-                    let batch: Vec<&[u32]> = chunk
-                        .iter()
-                        .map(|&t| &tokens[t + 1 - cfg.seq_len..=t])
-                        .collect();
-                    let preds = model.predict_batch(&batch, cfg.degree);
+                for chunk in positions.chunks(cfg.batch_size) {
+                    let preds = model.predict_batch(&windows(chunk), cfg.degree);
                     for (&t, ds) in chunk.iter().zip(preds) {
                         let mut out = Vec::new();
                         for d in ds {
@@ -264,26 +250,22 @@ impl DeltaLstm {
                     }
                 }
                 run.predict_seconds += t0.elapsed().as_secs_f64();
-                run.predicted_accesses += epoch_end - epoch_start;
+                run.predicted_accesses += accesses.len();
             }
             // Train: target is the next delta token.
             let t0 = Instant::now();
             let mut total = 0.0f64;
             let mut batches = 0;
-            let trainable: Vec<usize> = usable
+            let trainable: Vec<usize> = positions
                 .iter()
                 .copied()
                 .filter(|&t| t + 1 < n && tokens[t + 1] != rare)
                 .collect();
             for _pass in 0..cfg.train_passes.max(1) {
                 for chunk in trainable.chunks(cfg.batch_size) {
-                    let batch: Vec<&[u32]> = chunk
-                        .iter()
-                        .map(|&t| &tokens[t + 1 - cfg.seq_len..=t])
-                        .collect();
                     let targets: Vec<usize> =
                         chunk.iter().map(|&t| tokens[t + 1] as usize).collect();
-                    total += model.train_batch(&batch, &targets) as f64;
+                    total += model.train_batch(&windows(chunk), &targets) as f64;
                     batches += 1;
                 }
             }
@@ -293,8 +275,6 @@ impl DeltaLstm {
             } else {
                 (total / batches as f64) as f32
             });
-            epoch_start = epoch_end;
-            epoch_idx += 1;
         }
         run
     }

@@ -57,7 +57,7 @@ mod replay;
 pub use voyager_tensor::rng;
 
 pub use config::{FeatureSet, LabelMode, OutputHead, VoyagerConfig};
-pub use data::TrainingSet;
+pub use data::{positions_with_history, TrainingSet};
 pub use delta_lstm::{DeltaLstm, DeltaLstmConfig};
 pub use model::{hier_shape, SeqBatch, VoyagerModel};
 pub use online::OnlineRun;

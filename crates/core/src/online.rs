@@ -4,17 +4,18 @@
 //! *online*: the model trains on epoch `k` of the access stream and
 //! makes predictions for epoch `k + 1`; no inference happens in the
 //! first epoch. [`OnlineRun::execute`] implements this loop end to end:
-//! vocabulary profiling, labeling, epoch-wise predict-then-train, and
-//! prediction resolution back to cache-line addresses.
+//! vocabulary profiling and labeling (a [`TrainingSet`], whose samples
+//! each epoch trains on as one contiguous range), epoch-wise
+//! predict-then-train, and prediction resolution back to cache-line
+//! addresses.
 
+use std::ops::Range;
 use std::time::Instant;
 
-use voyager_tensor::Tensor2;
-use voyager_trace::labels::{compute_labels, LabelSet};
-use voyager_trace::vocab::{TokenizedAccess, Vocabulary};
 use voyager_trace::Trace;
 
-use crate::{LabelMode, SeqBatch, VoyagerConfig, VoyagerModel};
+use crate::data::positions_with_history;
+use crate::{SeqBatch, TrainingSet, VoyagerConfig, VoyagerModel};
 
 /// Result of one online run over a stream: per-access predictions plus
 /// training diagnostics.
@@ -38,78 +39,49 @@ pub struct OnlineRun {
     pub predicted_accesses: usize,
 }
 
+/// The online protocol's epochs over an `n`-access stream: consecutive
+/// ranges of `epoch_accesses` accesses. Epochs are capped at half the
+/// stream so the protocol always gets at least one train-then-predict
+/// split, even on streams shorter than the configured epoch, and span
+/// at least two history windows.
+pub(crate) fn epochs(
+    n: usize,
+    epoch_accesses: usize,
+    seq_len: usize,
+) -> impl Iterator<Item = Range<usize>> {
+    let len = epoch_accesses.min(n / 2).max(seq_len * 2);
+    (0..n)
+        .step_by(len)
+        .map(move |start| start..(start + len).min(n))
+}
+
 impl OnlineRun {
-    /// Runs the full online protocol for Voyager over an (LLC) access
-    /// stream.
-    pub fn execute(stream: &Trace, cfg: &VoyagerConfig) -> OnlineRun {
-        cfg.validate();
-        let vocab = Vocabulary::build(stream, &cfg.vocab);
-        let tokens = vocab.tokenize(stream);
-        let labels = compute_labels(stream);
-        let mut model = VoyagerModel::new(
-            cfg,
-            vocab.pc_vocab_len(),
-            vocab.page_vocab_len(),
-            vocab.offset_vocab_len(),
-        );
-        let mut run = OnlineRun {
-            predictions: vec![Vec::new(); stream.len()],
+    /// A run over an `n`-access stream that has predicted and trained
+    /// nothing yet.
+    pub(crate) fn empty(n: usize, model_params: usize, model_bytes: usize) -> OnlineRun {
+        OnlineRun {
+            predictions: vec![Vec::new(); n],
             epoch_losses: Vec::new(),
-            model_params: model.model_size().params,
-            model_bytes: model.model_size().dense_f32,
+            model_params,
+            model_bytes,
             train_seconds: 0.0,
             predict_seconds: 0.0,
             predicted_accesses: 0,
-        };
-        let n = stream.len();
-        if n == 0 {
-            return run;
         }
-        // Epochs are capped at half the stream so the online protocol
-        // always gets at least one train-then-predict split, even on
-        // streams shorter than the configured epoch.
-        let epoch_len = cfg.epoch_accesses.min(n / 2).max(cfg.seq_len * 2);
-        let mut prev_loss = f32::INFINITY;
-        let mut epoch_start = 0usize;
-        let mut epoch_idx = 0usize;
-        while epoch_start < n {
-            let epoch_end = (epoch_start + epoch_len).min(n);
+    }
+
+    /// Runs the full online protocol for Voyager over an (LLC) access
+    /// stream.
+    pub fn execute(stream: &Trace, cfg: &VoyagerConfig) -> OnlineRun {
+        let (set, mut model, mut run) = OnlineRun::set_up(stream, cfg);
+        for (epoch, accesses) in epochs(stream.len(), cfg.epoch_accesses, cfg.seq_len).enumerate() {
             // Predict this epoch with the model trained on previous
             // epochs (no inference in epoch 0).
-            if epoch_idx > 0 {
-                let t0 = Instant::now();
-                predict_epoch(
-                    &mut model,
-                    cfg,
-                    &tokens,
-                    stream,
-                    &vocab,
-                    epoch_start..epoch_end,
-                    &mut run.predictions,
-                );
-                run.predict_seconds += t0.elapsed().as_secs_f64();
-                run.predicted_accesses += epoch_end - epoch_start;
+            if epoch > 0 {
+                run.predict_epoch(&mut model, &set, stream, accesses.clone());
             }
             // Train on this epoch (for use in the next one).
-            let t0 = Instant::now();
-            let loss = train_epoch(
-                &mut model,
-                cfg,
-                &tokens,
-                &labels,
-                &vocab,
-                epoch_start..epoch_end,
-            );
-            run.train_seconds += t0.elapsed().as_secs_f64();
-            run.epoch_losses.push(loss);
-            // Table 1: decay the learning rate (ratio 2) when the loss
-            // plateaus.
-            if loss > prev_loss * 0.99 {
-                model.decay_lr();
-            }
-            prev_loss = loss;
-            epoch_start = epoch_end;
-            epoch_idx += 1;
+            run.train_epoch(&mut model, &set, set.samples_at(accesses), cfg.train_passes);
         }
         run
     }
@@ -121,55 +93,100 @@ impl OnlineRun {
     /// of the paper's *idealized* table-based baselines, which likewise
     /// memorize the full stream with unbounded, zero-cost state.
     pub fn execute_profiled(stream: &Trace, cfg: &VoyagerConfig) -> OnlineRun {
-        cfg.validate();
-        let vocab = Vocabulary::build(stream, &cfg.vocab);
-        let tokens = vocab.tokenize(stream);
-        let labels = compute_labels(stream);
-        let mut model = VoyagerModel::new(
+        let (set, mut model, mut run) = OnlineRun::set_up(stream, cfg);
+        if stream.is_empty() {
+            return run;
+        }
+        // Each training pass is one epoch of the loss-plateau rule.
+        for _ in 0..cfg.train_passes.max(1) {
+            run.train_epoch(&mut model, &set, 0..set.len(), 1);
+        }
+        run.predict_epoch(&mut model, &set, stream, 0..stream.len());
+        run
+    }
+
+    /// Profiles `stream` into a training set and builds a fresh model
+    /// and an empty run for it.
+    fn set_up(stream: &Trace, cfg: &VoyagerConfig) -> (TrainingSet, VoyagerModel, OnlineRun) {
+        let set = TrainingSet::build(stream, cfg);
+        let vocab = set.vocab();
+        let model = VoyagerModel::new(
             cfg,
             vocab.pc_vocab_len(),
             vocab.page_vocab_len(),
             vocab.offset_vocab_len(),
         );
-        let mut run = OnlineRun {
-            predictions: vec![Vec::new(); stream.len()],
-            epoch_losses: Vec::new(),
-            model_params: model.model_size().params,
-            model_bytes: model.model_size().dense_f32,
-            train_seconds: 0.0,
-            predict_seconds: 0.0,
-            predicted_accesses: 0,
-        };
-        let n = stream.len();
-        if n == 0 {
-            return run;
-        }
-        let mut prev_loss = f32::INFINITY;
-        let mut pass_cfg = *cfg;
-        pass_cfg.train_passes = 1;
-        for _ in 0..cfg.train_passes.max(1) {
-            let t0 = Instant::now();
-            let loss = train_epoch(&mut model, &pass_cfg, &tokens, &labels, &vocab, 0..n);
-            run.train_seconds += t0.elapsed().as_secs_f64();
-            run.epoch_losses.push(loss);
-            if loss > prev_loss * 0.99 {
-                model.decay_lr();
-            }
-            prev_loss = loss;
-        }
+        let size = model.model_size();
+        let run = OnlineRun::empty(stream.len(), size.params, size.dense_f32);
+        (set, model, run)
+    }
+
+    /// Trains `passes` passes over `samples` in minibatches and records
+    /// the mean step loss as one epoch loss. Table 1: the learning rate
+    /// decays (ratio 2) when the epoch loss plateaus.
+    fn train_epoch(
+        &mut self,
+        model: &mut VoyagerModel,
+        set: &TrainingSet,
+        samples: Range<usize>,
+        passes: usize,
+    ) {
+        let batch_size = model.config().batch_size;
         let t0 = Instant::now();
-        predict_epoch(
-            &mut model,
-            cfg,
-            &tokens,
-            stream,
-            &vocab,
-            0..n,
-            &mut run.predictions,
-        );
-        run.predict_seconds += t0.elapsed().as_secs_f64();
-        run.predicted_accesses = n;
-        run
+        let mut total = 0.0f64;
+        let mut batches = 0usize;
+        for _pass in 0..passes.max(1) {
+            for start in samples.clone().step_by(batch_size) {
+                let end = (start + batch_size).min(samples.end);
+                total += set.train_step(model, start..end) as f64;
+                batches += 1;
+            }
+        }
+        self.train_seconds += t0.elapsed().as_secs_f64();
+        let loss = if batches == 0 {
+            0.0
+        } else {
+            (total / batches as f64) as f32
+        };
+        if self
+            .epoch_losses
+            .last()
+            .is_some_and(|&prev| loss > prev * 0.99)
+        {
+            model.decay_lr();
+        }
+        self.epoch_losses.push(loss);
+    }
+
+    /// Predicts every access of `accesses` that has a history window,
+    /// in minibatches through the tape-free f32 path, and resolves the
+    /// candidates to cache lines.
+    fn predict_epoch(
+        &mut self,
+        model: &mut VoyagerModel,
+        set: &TrainingSet,
+        stream: &Trace,
+        accesses: Range<usize>,
+    ) {
+        let cfg = *model.config();
+        let t0 = Instant::now();
+        let positions: Vec<usize> = positions_with_history(accesses.clone(), cfg.seq_len).collect();
+        for chunk in positions.chunks(cfg.batch_size) {
+            let batch = SeqBatch::from_windows(set.tokens(), chunk.iter().copied(), cfg.seq_len);
+            for (&t, pairs) in chunk.iter().zip(model.predict_fast(&batch, cfg.degree)) {
+                let mut lines: Vec<u64> = Vec::with_capacity(pairs.len());
+                for (p, o, _) in pairs {
+                    if let Some(line) = set.vocab().resolve_prediction(&stream[t], p, o) {
+                        if !lines.contains(&line) {
+                            lines.push(line);
+                        }
+                    }
+                }
+                self.predictions[t] = lines;
+            }
+        }
+        self.predict_seconds += t0.elapsed().as_secs_f64();
+        self.predicted_accesses += accesses.len();
     }
 
     /// Unified accuracy/coverage of this run's predictions against the
@@ -203,123 +220,10 @@ impl OnlineRun {
     }
 }
 
-fn make_batch(tokens: &[TokenizedAccess], indices: &[usize], seq_len: usize) -> SeqBatch {
-    let mut batch = SeqBatch::default();
-    for &t in indices {
-        let window = &tokens[t + 1 - seq_len..=t];
-        batch
-            .pc
-            .push(window.iter().map(|a| a.pc as usize).collect());
-        batch
-            .page
-            .push(window.iter().map(|a| a.page as usize).collect());
-        batch
-            .offset
-            .push(window.iter().map(|a| a.offset as usize).collect());
-    }
-    batch
-}
-
-fn predict_epoch(
-    model: &mut VoyagerModel,
-    cfg: &VoyagerConfig,
-    tokens: &[TokenizedAccess],
-    stream: &Trace,
-    vocab: &Vocabulary,
-    range: std::ops::Range<usize>,
-    predictions: &mut [Vec<u64>],
-) {
-    let indices: Vec<usize> = range.filter(|&t| t + 1 >= cfg.seq_len).collect();
-    for chunk in indices.chunks(cfg.batch_size) {
-        let batch = make_batch(tokens, chunk, cfg.seq_len);
-        let preds = model.predict(&batch, cfg.degree);
-        for (&t, pairs) in chunk.iter().zip(preds) {
-            let mut lines: Vec<u64> = Vec::with_capacity(pairs.len());
-            for (p, o, _) in pairs {
-                if let Some(line) = vocab.resolve_prediction(&stream[t], p, o) {
-                    if !lines.contains(&line) {
-                        lines.push(line);
-                    }
-                }
-            }
-            predictions[t] = lines;
-        }
-    }
-}
-
-fn train_epoch(
-    model: &mut VoyagerModel,
-    cfg: &VoyagerConfig,
-    tokens: &[TokenizedAccess],
-    labels: &[LabelSet],
-    vocab: &Vocabulary,
-    range: std::ops::Range<usize>,
-) -> f32 {
-    let rare = vocab.rare_page_token();
-    // A sample is trainable when its history window exists and at least
-    // one candidate label tokenizes to a non-rare page.
-    let usable: Vec<usize> = range
-        .filter(|&t| t + 1 >= cfg.seq_len)
-        .filter(|&t| match cfg.labels {
-            LabelMode::Multi => labels[t]
-                .candidates()
-                .any(|j| tokens[j as usize].page != rare),
-            LabelMode::Single(scheme) => labels[t]
-                .get(scheme)
-                .is_some_and(|j| tokens[j as usize].page != rare),
-        })
-        .collect();
-    let mut total = 0.0f64;
-    let mut batches = 0usize;
-    for _pass in 0..cfg.train_passes.max(1) {
-        for chunk in usable.chunks(cfg.batch_size) {
-            let batch = make_batch(tokens, chunk, cfg.seq_len);
-            let loss = match cfg.labels {
-                LabelMode::Multi => {
-                    let mut pt = Tensor2::zeros(chunk.len(), vocab.page_vocab_len());
-                    let mut ot = Tensor2::zeros(chunk.len(), vocab.offset_vocab_len());
-                    for (row, &t) in chunk.iter().enumerate() {
-                        for j in labels[t].candidates() {
-                            let tok = tokens[j as usize];
-                            if tok.page != rare {
-                                pt.set(row, tok.page as usize, 1.0);
-                                ot.set(row, tok.offset as usize, 1.0);
-                            }
-                        }
-                    }
-                    model.train_multi(&batch, &pt, &ot)
-                }
-                LabelMode::Single(scheme) => {
-                    let mut pages = Vec::with_capacity(chunk.len());
-                    let mut offsets = Vec::with_capacity(chunk.len());
-                    for &t in chunk {
-                        // `usable` keeps only samples labeled for
-                        // `scheme`; a miss would surface as a row-count
-                        // mismatch in `train_single`.
-                        let Some(j) = labels[t].get(scheme) else {
-                            continue;
-                        };
-                        let j = j as usize;
-                        pages.push(tokens[j].page as usize);
-                        offsets.push(tokens[j].offset as usize);
-                    }
-                    model.train_single(&batch, &pages, &offsets)
-                }
-            };
-            total += loss as f64;
-            batches += 1;
-        }
-    }
-    if batches == 0 {
-        0.0
-    } else {
-        (total / batches as f64) as f32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LabelMode;
     use voyager_trace::labels::LabelScheme;
     use voyager_trace::MemoryAccess;
 

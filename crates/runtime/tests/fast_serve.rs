@@ -13,7 +13,7 @@
 
 use std::time::Duration;
 
-use voyager::{VoyagerConfig, VoyagerModel};
+use voyager::{SeqBatch, VoyagerConfig, VoyagerModel};
 use voyager_runtime::{
     InferenceRequest, MicrobatchConfig, MicrobatchServer, PredictMode, ServiceConfig,
 };
@@ -22,24 +22,28 @@ use voyager_tensor::infer;
 /// Per-request prefetch candidates, as returned by the service.
 type Candidates = Vec<(u32, u32, f32)>;
 
-fn request(t: usize, seq_len: usize, page_vocab: usize) -> InferenceRequest {
+const PAGE_VOCAB: usize = 256;
+
+fn request(t: usize) -> InferenceRequest {
+    let seq_len = VoyagerConfig::test().seq_len;
     InferenceRequest {
         workload: Default::default(),
         pc: (0..seq_len).map(|j| (t + j) % 64).collect(),
-        page: (0..seq_len).map(|j| (t * 3 + j) % page_vocab).collect(),
+        page: (0..seq_len).map(|j| (t * 3 + j) % PAGE_VOCAB).collect(),
         offset: (0..seq_len).map(|j| (t * 5 + j) % 64).collect(),
     }
+}
+
+fn model() -> VoyagerModel {
+    VoyagerModel::new(&VoyagerConfig::test(), 64, PAGE_VOCAB, 64)
 }
 
 /// Serves `n` requests through a fresh single-request-per-batch server
 /// in `mode` and returns (responses, grow-event delta after warmup).
 fn serve_steady(mode: PredictMode, n: usize) -> (Vec<Candidates>, u64) {
-    let cfg = VoyagerConfig::test();
-    let page_vocab = 256;
-    let model = VoyagerModel::new(&cfg, 64, page_vocab, 64);
     let service = ServiceConfig::new(2)
         .mode(mode)
-        .build(model)
+        .build(model())
         .expect("modes without tables");
     assert_eq!(service.mode(), mode);
     // max_batch = 1 flushes every request immediately, so each forward
@@ -50,17 +54,11 @@ fn serve_steady(mode: PredictMode, n: usize) -> (Vec<Candidates>, u64) {
         max_delay: Duration::from_millis(1),
     };
     let (server, client) = MicrobatchServer::spawn(service, mb);
-    let warmup = client
-        .infer(request(0, cfg.seq_len, page_vocab))
-        .expect("warmup response");
+    let warmup = client.infer(request(0)).expect("warmup response");
     let grown_before = infer::arena_grow_events();
     let mut responses = vec![warmup];
     for t in 1..n {
-        responses.push(
-            client
-                .infer(request(t, cfg.seq_len, page_vocab))
-                .expect("response"),
-        );
+        responses.push(client.infer(request(t)).expect("response"));
     }
     let grown_after = infer::arena_grow_events();
     drop(client);
@@ -74,8 +72,20 @@ fn serve_steady(mode: PredictMode, n: usize) -> (Vec<Candidates>, u64) {
 fn fast_serving_is_allocation_free_after_warmup_and_matches_tape() {
     let n = 51;
 
-    // Tape mode is the reference; it never touches the arena.
-    let (tape, _) = serve_steady(PredictMode::Tape, n);
+    // The reference: direct tape `predict` calls, one row each, on an
+    // identically seeded model. The tape never touches the arena.
+    let mut reference = model();
+    let tape: Vec<Candidates> = (0..n)
+        .map(|t| {
+            let r = request(t);
+            let row = SeqBatch {
+                pc: vec![r.pc],
+                page: vec![r.page],
+                offset: vec![r.offset],
+            };
+            reference.predict(&row, 2).remove(0)
+        })
+        .collect();
 
     // f32 fast path: zero arena growth after the first (warmup) call,
     // and bitwise-identical responses to the tape path.
@@ -90,7 +100,7 @@ fn fast_serving_is_allocation_free_after_warmup_and_matches_tape() {
         n as u64,
         "every fast-mode batch goes through the fast path"
     );
-    assert_eq!(fast, tape, "fast-f32 serving must match tape serving");
+    assert_eq!(fast, tape, "fast-f32 serving must match tape predict");
 
     // int8 fast path: also steady-state allocation-free, and its top-1
     // page/offset picks agree with f32 on an (untrained but

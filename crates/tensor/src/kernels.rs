@@ -44,7 +44,6 @@
 //! way).
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::simd;
 use crate::Tensor2;
@@ -83,28 +82,6 @@ pub enum Layout {
     TN,
     /// `a @ b^T`: the right operand is stored `[n, k]`.
     NT,
-}
-
-/// When set, [`gemm`] / [`gemm_acc`] route to the naive reference
-/// kernel. Used by benchmarks to measure the unoptimised baseline
-/// through unmodified call sites.
-static FORCE_NAIVE: AtomicBool = AtomicBool::new(false);
-
-/// Routes all subsequent [`gemm`] / [`gemm_acc`] calls through the
-/// naive reference kernel (`true`) or the dispatched kernels
-/// (`false`).
-///
-/// Intended for benchmarks that compare the two paths through real
-/// model code; results are bitwise-identical either way (see the
-/// module-level determinism note). See [`set_force_scalar`] for the
-/// analogous SIMD-vs-scalar-blocked switch.
-pub fn set_force_naive(force: bool) {
-    FORCE_NAIVE.store(force, Ordering::Relaxed);
-}
-
-/// Returns whether the naive reference kernel is currently forced.
-pub fn force_naive() -> bool {
-    FORCE_NAIVE.load(Ordering::Relaxed)
 }
 
 #[cfg(feature = "obs")]
@@ -196,11 +173,7 @@ pub fn gemm(a: &Tensor2, b: &Tensor2, layout: Layout, out: &mut Tensor2) {
     let (m, n, k) = gemm_dims(a, b, layout);
     note_gemm(m, n, k);
     reshape_for_output(out, m, n);
-    if force_naive() {
-        naive_gemm_rows(a, b, layout, 0..m, out.as_mut_slice(), false);
-    } else {
-        gemm_rows_impl(a, b, layout, 0..m, out.as_mut_slice(), false);
-    }
+    gemm_rows_impl(a, b, layout, 0..m, out.as_mut_slice(), false);
 }
 
 /// Matrix multiply-accumulate `out += a ? b` for the given
@@ -214,11 +187,7 @@ pub fn gemm_acc(a: &Tensor2, b: &Tensor2, layout: Layout, out: &mut Tensor2) {
     let (m, n, k) = gemm_dims(a, b, layout);
     note_gemm(m, n, k);
     assert_eq!(out.shape(), (m, n), "gemm_acc output shape mismatch");
-    if force_naive() {
-        naive_gemm_rows(a, b, layout, 0..m, out.as_mut_slice(), true);
-    } else {
-        gemm_rows_impl(a, b, layout, 0..m, out.as_mut_slice(), true);
-    }
+    gemm_rows_impl(a, b, layout, 0..m, out.as_mut_slice(), true);
 }
 
 /// Computes output rows `rows` of `a ? b` into `out_rows`
@@ -314,9 +283,9 @@ fn gemm_rows_impl(
 /// multiplies one hidden row against the contiguous `[branch, hidden]`
 /// leaf-weight block of each shortlisted cluster, which has no
 /// `Tensor2` of its own. Routes through the identical dispatch as
-/// [`gemm`] (naive switch included), so results are bitwise-identical
-/// to a whole-tensor call on the same bytes; slice operands carry no
-/// content version, so the packed-B cache is bypassed.
+/// [`gemm`], so results are bitwise-identical to a whole-tensor call
+/// on the same bytes; slice operands carry no content version, so the
+/// packed-B cache is bypassed.
 ///
 /// # Panics
 ///
@@ -348,10 +317,6 @@ pub fn gemm_slices(
                 *o = 0.0;
             }
         }
-        return;
-    }
-    if force_naive() {
-        simd::run_naive(a, b, layout, m, n, k, 0..m, out, accumulate);
         return;
     }
     match simd::active_isa() {
@@ -607,23 +572,10 @@ fn block_nt(
 ///
 /// Panics if the operand shapes disagree under `layout`.
 pub fn naive_gemm(a: &Tensor2, b: &Tensor2, layout: Layout, out: &mut Tensor2) {
-    let (m, n, _) = gemm_dims(a, b, layout);
-    reshape_for_output(out, m, n);
-    naive_gemm_rows(a, b, layout, 0..m, out.as_mut_slice(), false);
-}
-
-fn naive_gemm_rows(
-    a: &Tensor2,
-    b: &Tensor2,
-    layout: Layout,
-    rows: Range<usize>,
-    out_rows: &mut [f32],
-    acc: bool,
-) {
     let (m, n, k) = gemm_dims(a, b, layout);
-    check_rows(m, n, &rows, out_rows.len());
+    reshape_for_output(out, m, n);
     let (a, b) = (a.as_slice(), b.as_slice());
-    simd::run_naive(a, b, layout, m, n, k, rows, out_rows, acc);
+    simd::run_naive(a, b, layout, m, n, k, 0..m, out.as_mut_slice(), false);
 }
 
 /// Naive kernel body, shared by the plain and `fma`-target-feature
@@ -1184,21 +1136,6 @@ mod tests {
                 set_force_scalar(false);
             }
         }
-    }
-
-    #[test]
-    fn force_naive_round_trips_and_matches() {
-        let mut rng = thread_rng();
-        let (a, b) = operands(9, 6, 4, Layout::NN, &mut rng);
-        let mut fast = Tensor2::zeros(1, 1);
-        gemm(&a, &b, Layout::NN, &mut fast);
-        set_force_naive(true);
-        assert!(force_naive());
-        let mut slow = Tensor2::zeros(1, 1);
-        gemm(&a, &b, Layout::NN, &mut slow);
-        set_force_naive(false);
-        assert!(!force_naive());
-        assert_eq!(fast.as_slice(), slow.as_slice());
     }
 
     #[test]

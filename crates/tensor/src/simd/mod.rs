@@ -21,7 +21,8 @@
 //!
 //! # Forcing the scalar path
 //!
-//! Two switches exist, mirroring `set_force_naive`:
+//! The scalar blocked path is the one golden reference, with two
+//! switches:
 //!
 //! * [`set_force_scalar`] — a runtime toggle used by benchmarks and
 //!   the golden tests to compare tiers through unmodified call sites.
@@ -97,8 +98,8 @@ impl Isa {
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
 /// Routes all subsequent kernel calls through the scalar blocked path
-/// (`true`) or the detected SIMD tier (`false`). Mirrors
-/// `set_force_naive`; see the module docs for the identity contract.
+/// (`true`) or the detected SIMD tier (`false`); see the module docs
+/// for the identity contract.
 pub fn set_force_scalar(force: bool) {
     FORCE_SCALAR.store(force, Ordering::Relaxed);
 }

@@ -52,7 +52,7 @@ fn main() {
         }
     }
     let accuracy = |m: &mut VoyagerModel| {
-        let preds = m.predict(&batch, 1);
+        let preds = m.predict_fast(&batch, 1);
         let correct = preds
             .iter()
             .zip(&targets)
