@@ -149,16 +149,16 @@ impl DeltaLstm {
         self.store.num_scalars()
     }
 
+    /// Embeds the windows time-major (one gather), runs the LSTM over
+    /// them as one node, and applies the head to the final state.
     fn forward(&mut self, sess: &mut Session, batch: &[&[u32]]) -> voyager_tensor::Var {
-        let b = batch.len();
-        let mut state = self.lstm.zero_state(sess, b);
-        let seq_len = batch[0].len();
-        for step in 0..seq_len {
-            let ids: Vec<usize> = batch.iter().map(|s| s[step] as usize).collect();
-            let x = self.emb.forward(sess, &self.store, &ids);
-            state = self.lstm.forward(sess, &self.store, (x, state));
-        }
-        self.head.forward(sess, &self.store, state.h)
+        let steps = batch[0].len();
+        let ids: Vec<usize> = (0..steps)
+            .flat_map(|t| batch.iter().map(move |s| s[t] as usize))
+            .collect();
+        let x = self.emb.forward(sess, &self.store, &ids);
+        let h = self.lstm.forward_seq(sess, &self.store, x, steps);
+        self.head.forward(sess, &self.store, h)
     }
 
     fn train_batch(&mut self, batch: &[&[u32]], targets: &[usize]) -> f32 {
@@ -270,11 +270,10 @@ impl DeltaLstm {
                 }
             }
             run.train_seconds += t0.elapsed().as_secs_f64();
-            run.epoch_losses.push(if batches == 0 {
-                0.0
-            } else {
-                (total / batches as f64) as f32
-            });
+            // An epoch with no trainable sample records no loss.
+            if batches > 0 {
+                run.epoch_losses.push((total / batches as f64) as f32);
+            }
         }
         run
     }
@@ -347,6 +346,17 @@ mod tests {
         let paper = DeltaLstm::new(&DeltaLstmConfig::paper(), 50_001);
         let scaled = DeltaLstm::new(&DeltaLstmConfig::scaled(), 2_049);
         assert!(paper.num_params() > 20 * scaled.num_params());
+    }
+
+    #[test]
+    fn an_epoch_without_samples_records_no_loss() {
+        // 2·len + 1 accesses: the third epoch holds a single access,
+        // which has no next delta to train on.
+        let cfg = DeltaLstmConfig::test();
+        let stream = strided_stream(2 * cfg.epoch_accesses + 1);
+        let run = DeltaLstm::run_online(&stream, &cfg);
+        assert_eq!(run.epoch_losses.len(), 2, "{:?}", run.epoch_losses);
+        assert!(run.epoch_losses.iter().all(|&l| l > 0.0));
     }
 
     #[test]

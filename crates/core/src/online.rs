@@ -25,7 +25,7 @@ pub struct OnlineRun {
     /// access `t` targets the following accesses). Empty in epoch 0 and
     /// for rare-token predictions.
     pub predictions: Vec<Vec<u64>>,
-    /// Mean training loss per epoch.
+    /// Mean training loss per epoch that trained at least one batch.
     pub epoch_losses: Vec<f32>,
     /// Total scalar parameters of the trained model.
     pub model_params: usize,
@@ -123,7 +123,9 @@ impl OnlineRun {
 
     /// Trains `passes` passes over `samples` in minibatches and records
     /// the mean step loss as one epoch loss. Table 1: the learning rate
-    /// decays (ratio 2) when the epoch loss plateaus.
+    /// decays (ratio 2) when the epoch loss plateaus. An epoch with no
+    /// trainable sample trains nothing, so it records no loss and leaves
+    /// the learning rate alone.
     fn train_epoch(
         &mut self,
         model: &mut VoyagerModel,
@@ -143,11 +145,10 @@ impl OnlineRun {
             }
         }
         self.train_seconds += t0.elapsed().as_secs_f64();
-        let loss = if batches == 0 {
-            0.0
-        } else {
-            (total / batches as f64) as f32
-        };
+        if batches == 0 {
+            return;
+        }
+        let loss = (total / batches as f64) as f32;
         if self
             .epoch_losses
             .last()
@@ -302,6 +303,23 @@ mod tests {
         let run = OnlineRun::execute(&stream, &cfg);
         assert!(run.predictions.iter().any(|p| p.len() > 1));
         assert!(run.predictions.iter().all(|p| p.len() <= 3));
+    }
+
+    #[test]
+    fn an_epoch_without_samples_records_no_loss() {
+        // 2·len + 1 accesses: the third epoch holds a single access,
+        // which has no trainable sample.
+        let cfg = VoyagerConfig::test();
+        let len = cfg.epoch_accesses;
+        let stream = repeating_stream((2 * len + 1).div_ceil(8));
+        let mut stream_cut = Trace::new("cut");
+        for a in stream.iter().take(2 * len + 1) {
+            stream_cut.push(*a);
+        }
+        assert_eq!(epochs(stream_cut.len(), len, cfg.seq_len).count(), 3);
+        let run = OnlineRun::execute(&stream_cut, &cfg);
+        assert_eq!(run.epoch_losses.len(), 2, "{:?}", run.epoch_losses);
+        assert!(run.epoch_losses.iter().all(|&l| l > 0.0));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::{ParamStore, Session};
 /// Every layer applies as `layer.forward(sess, store, input)`, in that
 /// argument order, regardless of what the input is — a single
 /// activation [`Var`](voyager_tensor::Var), a batch of embedding ids,
-/// or a `(input, state)` pair for recurrent cells. The contract a
+/// or a `(page, offset)` pair for the attention. The contract a
 /// `forward` implementation must uphold:
 ///
 /// * **Record, don't mutate** — it records the layer's computation as
@@ -24,8 +24,9 @@ use crate::{ParamStore, Session};
 ///
 /// Layers whose application yields more than one interesting value
 /// (e.g. [`ExpertAttention`](crate::ExpertAttention)'s attention
-/// weights) expose additional inherent methods that follow the same
-/// `(sess, store, input)` order.
+/// weights) or takes extra shape arguments (the
+/// [`LstmCell`](crate::LstmCell)'s step count) expose inherent methods
+/// that follow the same `(sess, store, input)` order.
 ///
 /// # Example
 ///

@@ -144,15 +144,6 @@ impl<'a> Layer<&'a [usize]> for Embedding {
     }
 }
 
-/// Hidden state of an [`LstmCell`]: the `(h, c)` pair.
-#[derive(Debug, Clone, Copy)]
-pub struct LstmState {
-    /// Hidden output vector, `[batch, hidden]`.
-    pub h: Var,
-    /// Cell state vector, `[batch, hidden]`.
-    pub c: Var,
-}
-
 /// A standard LSTM cell (Hochreiter & Schmidhuber) with a fused gate
 /// matrix, matching the page/offset LSTMs of Fig. 2 (1 layer, 256 units
 /// in the paper's Table 1).
@@ -160,6 +151,10 @@ pub struct LstmState {
 /// Gate layout in the fused `[.., 4*hidden]` matrices is `i, f, g, o`.
 /// The forget-gate bias is initialised to 1.0, the usual trick to avoid
 /// premature forgetting early in training.
+///
+/// The cell runs over a whole history window at once
+/// ([`LstmCell::forward_seq`]): one tape node, one binding of each
+/// weight, hence one optimizer update per weight per step.
 #[derive(Debug, Clone)]
 pub struct LstmCell {
     wx: ParamId,
@@ -226,49 +221,23 @@ impl LstmCell {
         self.bias
     }
 
-    /// Creates an all-zero initial state for a batch of the given size.
-    pub fn zero_state(&self, sess: &mut Session, batch: usize) -> LstmState {
-        let h = sess.tape.leaf(Tensor2::zeros(batch, self.hidden), false);
-        let c = sess.tape.leaf(Tensor2::zeros(batch, self.hidden), false);
-        LstmState { h, c }
-    }
-}
-
-impl Layer<(Var, LstmState)> for LstmCell {
-    type Output = LstmState;
-
-    /// Advances the cell one timestep on an `(input, state)` pair.
+    /// Runs the cell over a time-major sequence from the zero state and
+    /// returns the final hidden state, `[batch, hidden]`.
     ///
-    /// All four gate pre-activations come from a single fused
-    /// [`lstm_gates`](voyager_tensor::Tape::lstm_gates) node — one
-    /// batched GEMM pair per step instead of four separate matmul /
-    /// add nodes.
-    fn forward(
-        &self,
-        sess: &mut Session,
-        store: &ParamStore,
-        (x, state): (Var, LstmState),
-    ) -> LstmState {
+    /// `x` is `[steps·batch, input_dim]`, step `t` in rows
+    /// `t·batch .. (t+1)·batch`. The whole window is one
+    /// [`lstm_seq`](voyager_tensor::Tape::lstm_seq) node, and the
+    /// weights are bound once, however many steps there are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x`'s rows do not split into `steps` steps or its width
+    /// is not `input_dim`.
+    pub fn forward_seq(&self, sess: &mut Session, store: &ParamStore, x: Var, steps: usize) -> Var {
         let wx = sess.param(store, self.wx);
         let wh = sess.param(store, self.wh);
         let b = sess.param(store, self.bias);
-        let t = &mut sess.tape;
-        let gates = t.lstm_gates(x, state.h, wx, wh, b);
-        let hdim = self.hidden;
-        let i_raw = t.slice_cols(gates, 0, hdim);
-        let f_raw = t.slice_cols(gates, hdim, hdim);
-        let g_raw = t.slice_cols(gates, 2 * hdim, hdim);
-        let o_raw = t.slice_cols(gates, 3 * hdim, hdim);
-        let i = t.sigmoid(i_raw);
-        let f = t.sigmoid(f_raw);
-        let g = t.tanh(g_raw);
-        let o = t.sigmoid(o_raw);
-        let fc = t.mul(f, state.c);
-        let ig = t.mul(i, g);
-        let c = t.add(fc, ig);
-        let ct = t.tanh(c);
-        let h = t.mul(o, ct);
-        LstmState { h, c }
+        sess.tape.lstm_seq(x, wx, wh, b, steps)
     }
 }
 
@@ -384,21 +353,23 @@ mod tests {
         assert_eq!(cell.hidden(), 4);
         assert_eq!(cell.input_dim(), 3);
         let mut sess = Session::new();
-        let s0 = cell.zero_state(&mut sess, 1);
+        // One sequence, time-major: the state after step 1, and after
+        // steps 1 and 2.
         let x1 = sess
             .tape
             .leaf(Tensor2::from_rows(&[&[1.0, 0.0, -1.0]]), false);
-        let s1 = cell.forward(&mut sess, &store, (x1, s0));
-        let x2 = sess
-            .tape
-            .leaf(Tensor2::from_rows(&[&[0.0, 2.0, 0.0]]), false);
-        let s2 = cell.forward(&mut sess, &store, (x2, s1));
+        let h1 = cell.forward_seq(&mut sess, &store, x1, 1);
+        let x12 = sess.tape.leaf(
+            Tensor2::from_rows(&[&[1.0, 0.0, -1.0], &[0.0, 2.0, 0.0]]),
+            false,
+        );
+        let h2 = cell.forward_seq(&mut sess, &store, x12, 2);
         assert_ne!(
-            sess.tape.value(s1.h).as_slice(),
-            sess.tape.value(s2.h).as_slice()
+            sess.tape.value(h1).as_slice(),
+            sess.tape.value(h2).as_slice()
         );
         // Bounded activations.
-        for &v in sess.tape.value(s2.h).as_slice() {
+        for &v in sess.tape.value(h2).as_slice() {
             assert!(v.abs() <= 1.0);
         }
     }
@@ -416,13 +387,11 @@ mod tests {
         for step in 0..300 {
             let first = if step % 2 == 0 { 1.0f32 } else { -1.0 };
             let mut sess = Session::new();
-            let mut state = cell.zero_state(&mut sess, 1);
-            for i in 0..3 {
-                let v = if i == 0 { first } else { 0.0 };
-                let x = sess.tape.leaf(Tensor2::from_rows(&[&[v]]), false);
-                state = cell.forward(&mut sess, &store, (x, state));
-            }
-            let y = head.forward(&mut sess, &store, state.h);
+            let x = sess
+                .tape
+                .leaf(Tensor2::from_rows(&[&[first], &[0.0], &[0.0]]), false);
+            let h = cell.forward_seq(&mut sess, &store, x, 3);
+            let y = head.forward(&mut sess, &store, h);
             let t = sess.tape.leaf(Tensor2::scalar(first), false);
             let d = sess.tape.sub(y, t);
             let sq = sess.tape.mul(d, d);

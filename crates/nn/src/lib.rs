@@ -6,13 +6,16 @@
 //! * [`ParamStore`] / [`Session`] — named parameter tensors plus the glue
 //!   that binds them onto a fresh [`Tape`](voyager_tensor::Tape) each
 //!   training step and routes gradients back (including sparse gradients
-//!   for embedding gathers).
+//!   for embedding gathers). A parameter is bound once per session, so
+//!   it gets one gradient and one optimizer update per step.
 //! * [`Adam`] — the paper's optimizer (Table 1), with gradient clipping
-//!   and learning-rate decay.
-//! * Layers: [`Linear`], [`Embedding`], [`LstmCell`], and
-//!   [`ExpertAttention`] — the page-aware offset embedding mechanism of
-//!   Section 4.2.2 — all applied through the uniform [`Layer`] contract
-//!   (`layer.forward(sess, store, input)`).
+//!   on the global gradient norm and learning-rate decay.
+//! * Layers: [`Linear`], [`Embedding`] and [`ExpertAttention`] — the
+//!   page-aware offset embedding mechanism of Section 4.2.2 — applied
+//!   through the uniform [`Layer`] contract
+//!   (`layer.forward(sess, store, input)`), and [`LstmCell`], which runs
+//!   a whole time-major history window as one tape node
+//!   ([`LstmCell::forward_seq`]).
 //! * [`compress`] — magnitude pruning and 8-bit quantization used in
 //!   Section 5.4 to shrink Voyager 110–200× below Delta-LSTM.
 //! * [`HierarchicalSoftmax`] — the Section 5.5 future-work output head
@@ -71,7 +74,7 @@ pub use voyager_tensor::rng;
 pub use grads::{GradEntry, GradSet};
 pub use hier_softmax::{HierarchicalSoftmax, PAD_MASK};
 pub use layer::Layer;
-pub use layers::{Embedding, ExpertAttention, Linear, LstmCell, LstmState};
+pub use layers::{Embedding, ExpertAttention, Linear, LstmCell};
 pub use optim::{Adam, AdamState};
 pub use params::{ParamId, ParamStore, Session};
 pub use qinfer::{QuantizedHierHead, QuantizedLinear, QuantizedLstm, QuantizedMatmul};

@@ -130,7 +130,15 @@ impl Session {
 
     /// Binds the full value of parameter `id` onto the tape as a
     /// differentiable leaf and returns its [`Var`].
+    ///
+    /// A parameter is bound at most once per session: binding it again
+    /// returns the existing leaf, so every use accumulates into one
+    /// gradient, the optimizer updates it once per step, and clipping
+    /// sees the true global norm.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
+        if let Some(&(_, var)) = self.dense.iter().find(|(bound, _)| *bound == id) {
+            return var;
+        }
         let var = self.tape.leaf(store.value(id).clone(), true);
         self.dense.push((id, var));
         var
@@ -282,6 +290,46 @@ mod tests {
         // moves it in the negative direction.
         assert!(store.value(id).get(0, 0) < 0.0);
         assert_eq!(store.value(id).get(1, 0), 0.0);
+    }
+
+    #[test]
+    fn binding_twice_yields_one_leaf_and_one_update() {
+        // Twice-bound: loss = sum(w * a) + sum(w * b), one Adam step.
+        let a = Tensor2::from_rows(&[&[1.0, -2.0]]);
+        let b = Tensor2::from_rows(&[&[0.5, 3.0]]);
+        let mut store = ParamStore::new();
+        let id = store.register("w", Tensor2::from_rows(&[&[0.25, -0.75]]));
+        let mut adam = Adam::new(0.1);
+        let mut sess = Session::new();
+        let w1 = sess.param(&store, id);
+        let w2 = sess.param(&store, id);
+        assert_eq!(w1, w2, "a rebinding must return the existing leaf");
+        let (av, bv) = (
+            sess.tape.leaf(a.clone(), false),
+            sess.tape.leaf(b.clone(), false),
+        );
+        let wa = sess.tape.mul(w1, av);
+        let wb = sess.tape.mul(w2, bv);
+        let (sa, sb) = (sess.tape.sum_all(wa), sess.tape.sum_all(wb));
+        let loss = sess.tape.add(sa, sb);
+        let grads = sess.collect_grads(loss);
+        assert_eq!(grads.len(), 1, "one GradSet entry per parameter");
+        adam.apply_grad_set(&mut store, &grads);
+        assert_eq!(adam.steps(), 1);
+
+        // Reference: one binding, one step with the summed gradient a + b.
+        let mut ref_store = ParamStore::new();
+        let rid = ref_store.register("w", Tensor2::from_rows(&[&[0.25, -0.75]]));
+        let mut ref_adam = Adam::new(0.1);
+        let mut ref_sess = Session::new();
+        let w = ref_sess.param(&ref_store, rid);
+        let mut sum = a;
+        sum.add_scaled(&b, 1.0);
+        let sv = ref_sess.tape.leaf(sum, false);
+        let ws = ref_sess.tape.mul(w, sv);
+        let ref_loss = ref_sess.tape.sum_all(ws);
+        ref_sess.step(ref_loss, &mut ref_store, &mut ref_adam);
+        assert_eq!(store.value(id).as_slice(), ref_store.value(rid).as_slice());
     }
 
     #[test]

@@ -226,6 +226,30 @@ mod tests {
     }
 
     #[test]
+    fn gradcheck_lstm_seq() {
+        let mut rng = rng();
+        // Three steps of a batch of two through a 2-unit LSTM: BPTT must
+        // carry gradient through both the hidden and the cell state.
+        let (steps, batch, input, hidden) = (3, 2, 3, 2);
+        let x = Tensor2::uniform(steps * batch, input, 1.0, &mut rng);
+        let wx = Tensor2::uniform(input, 4 * hidden, 0.8, &mut rng);
+        let wh = Tensor2::uniform(hidden, 4 * hidden, 0.8, &mut rng);
+        let bias = Tensor2::uniform(1, 4 * hidden, 0.5, &mut rng);
+        let probe = Tensor2::uniform(batch, hidden, 1.0, &mut rng);
+        check(
+            |t, v| {
+                let h = t.lstm_seq(v[0], v[1], v[2], v[3], steps);
+                let p = t.leaf(probe.clone(), false);
+                let hp = t.mul(h, p);
+                let sq = t.mul(hp, h);
+                t.sum_all(sq)
+            },
+            &[x, wx, wh, bias],
+            2e-2,
+        );
+    }
+
+    #[test]
     fn gradcheck_add_row_bias() {
         let mut rng = rng();
         let a = Tensor2::uniform(3, 2, 1.0, &mut rng);

@@ -305,6 +305,62 @@ pub fn gemm_slices(
     assert_eq!(a.len(), m * k, "gemm_slices lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm_slices rhs length mismatch");
     assert_eq!(out.len(), m * n, "gemm_slices output length mismatch");
+    slices_impl(a, b, layout, m, n, k, out, accumulate, 0);
+}
+
+/// `out (+)= a ? b` for `m` row-major rows `a` cut from a larger buffer
+/// (`[m, k]`, so `layout` is `NN` or `NT`) against a whole tensor `b`:
+/// [`gemm_slices`] that keeps `b`'s content version, so the LSTM's
+/// per-step products against the same recurrent weights reuse its
+/// packed panels. Bitwise-identical to [`gemm_slices`].
+///
+/// # Panics
+///
+/// Panics on a `TN` layout or mismatched lengths.
+pub(crate) fn gemm_rows_against(
+    a: &[f32],
+    m: usize,
+    b: &Tensor2,
+    layout: Layout,
+    out: &mut [f32],
+    accumulate: bool,
+) {
+    assert_ne!(
+        layout,
+        Layout::TN,
+        "gemm_rows_against takes row-major lhs rows"
+    );
+    let (k, n) = match layout {
+        Layout::NT => (b.cols(), b.rows()),
+        _ => b.shape(),
+    };
+    assert_eq!(a.len(), m * k, "gemm_rows_against lhs length mismatch");
+    assert_eq!(out.len(), m * n, "gemm_rows_against output length mismatch");
+    slices_impl(
+        a,
+        b.as_slice(),
+        layout,
+        m,
+        n,
+        k,
+        out,
+        accumulate,
+        b.version(),
+    );
+}
+
+#[allow(clippy::too_many_arguments)]
+fn slices_impl(
+    a: &[f32],
+    b: &[f32],
+    layout: Layout,
+    m: usize,
+    n: usize,
+    k: usize,
+    out: &mut [f32],
+    accumulate: bool,
+    b_version: u64,
+) {
     note_gemm(m, n, k);
     if n == 0 || m == 0 {
         return;
@@ -321,7 +377,7 @@ pub fn gemm_slices(
     }
     match simd::active_isa() {
         Isa::Scalar => simd::run_scalar_blocked(a, b, layout, m, n, k, 0..m, out, accumulate),
-        isa => simd::gemm_rows_packed(isa, a, b, layout, m, n, k, 0..m, out, accumulate, 0),
+        isa => simd::gemm_rows_packed(isa, a, b, layout, m, n, k, 0..m, out, accumulate, b_version),
     }
 }
 

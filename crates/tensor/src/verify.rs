@@ -292,30 +292,43 @@ impl Tape {
                 }
                 mismatch("mul_mask", shape(a))
             }
-            Op::LstmGates { x, h, wx, wh, bias } => {
-                let ((m, i), (hm, hidden)) = (shape(x), shape(h));
-                let ((wxr, g4), whs) = (shape(wx), shape(wh));
-                if hm != m {
-                    return inconsistent("lstm_gates", format!("x has {m} rows but h has {hm}"));
-                }
-                if wxr != i || g4 != 4 * hidden || whs != (hidden, g4) {
+            Op::LstmSeq {
+                x,
+                wx,
+                wh,
+                bias,
+                steps,
+                gates,
+                cells,
+                hs,
+            } => {
+                let ((rows, input), (hidden, g4)) = (shape(x), shape(wh));
+                if *steps == 0 || !rows.is_multiple_of(*steps) {
                     return inconsistent(
-                        "lstm_gates",
+                        "lstm_seq",
+                        format!("{rows} rows do not split into {steps} steps"),
+                    );
+                }
+                if g4 != 4 * hidden || shape(wx) != (input, g4) || shape(bias) != (1, g4) {
+                    return inconsistent(
+                        "lstm_seq",
                         format!(
-                            "weights {:?}/{whs:?} for x {:?}, h {:?}",
-                            (wxr, g4),
-                            (m, i),
-                            (hm, hidden)
+                            "weights {:?}/{:?}/{:?} for input {:?}",
+                            shape(wx),
+                            (hidden, g4),
+                            shape(bias),
+                            (rows, input)
                         ),
                     );
                 }
-                if shape(bias) != (1, g4) {
+                let saved = (gates.shape(), cells.shape(), hs.shape());
+                if saved != ((rows, g4), (rows, hidden), (rows, hidden)) {
                     return inconsistent(
-                        "lstm_gates",
-                        format!("bias {:?}, expected {:?}", shape(bias), (1, g4)),
+                        "lstm_seq",
+                        format!("saved states {saved:?} for {rows} rows of {hidden} units"),
                     );
                 }
-                mismatch("lstm_gates", (m, g4))
+                mismatch("lstm_seq", (rows / steps, hidden))
             }
             Op::SumAll { .. } => mismatch("sum_all", (1, 1)),
             Op::MeanAll { .. } => mismatch("mean_all", (1, 1)),
@@ -382,7 +395,9 @@ fn op_inputs(op: &Op) -> Vec<usize> {
         | Op::MeanAll { a } => vec![a.0],
         Op::ConcatCols { parts } => parts.iter().map(|v| v.0).collect(),
         Op::ChunkDot { q, chunks, .. } => vec![q.0, chunks.0],
-        Op::LstmGates { x, h, wx, wh, bias } => vec![x.0, h.0, wx.0, wh.0, bias.0],
+        Op::LstmSeq {
+            x, wx, wh, bias, ..
+        } => vec![x.0, wx.0, wh.0, bias.0],
         Op::ChunkWeightedSum { w, chunks } => vec![w.0, chunks.0],
         Op::SoftmaxCe { logits, .. } => vec![logits.0],
         Op::BceLogits { logits, .. } => vec![logits.0],
@@ -501,6 +516,55 @@ mod tests {
         let (mut tape, loss) = healthy_tape();
         tape.nodes[3].value = Tensor2::zeros(2, 2);
         tape.backward(loss);
+    }
+
+    /// A valid two-step `lstm_seq` over a batch of two; returns the
+    /// tape, the loss, and the node index of the recurrent weights.
+    fn lstm_seq_tape() -> (Tape, Var, usize) {
+        let mut tape = Tape::new();
+        let x = tape.leaf(Tensor2::full(4, 3, 0.5), false);
+        let wx = tape.leaf(Tensor2::full(3, 8, 0.1), true);
+        let wh = tape.leaf(Tensor2::full(2, 8, -0.1), true);
+        let b = tape.leaf(Tensor2::zeros(1, 8), true);
+        let h = tape.lstm_seq(x, wx, wh, b, 2);
+        let loss = tape.sum_all(h);
+        (tape, loss, wh.0)
+    }
+
+    #[test]
+    fn lstm_seq_shapes_are_verified() {
+        let (tape, loss, _) = lstm_seq_tape();
+        let report = tape.verify(loss).unwrap();
+        assert_eq!(report.live_params, 3);
+
+        // Recurrent weights that are not four gates of `hidden` units.
+        let (mut tape, loss, wh) = lstm_seq_tape();
+        tape.nodes[wh].value = Tensor2::zeros(2, 6);
+        assert!(matches!(
+            tape.verify(loss),
+            Err(TapeError::InconsistentInputs { op: "lstm_seq", .. })
+        ));
+
+        // An input whose rows no longer split into the recorded steps.
+        let (mut tape, loss, _) = lstm_seq_tape();
+        tape.nodes[0].value = Tensor2::zeros(5, 3);
+        assert!(matches!(
+            tape.verify(loss),
+            Err(TapeError::InconsistentInputs { op: "lstm_seq", .. })
+        ));
+
+        // A stored output of the wrong batch.
+        let (mut tape, loss, _) = lstm_seq_tape();
+        tape.nodes[4].value = Tensor2::zeros(4, 2);
+        assert_eq!(
+            tape.verify(loss),
+            Err(TapeError::ShapeMismatch {
+                node: 4,
+                op: "lstm_seq",
+                expected: (2, 2),
+                got: (4, 2),
+            })
+        );
     }
 
     #[test]

@@ -44,4 +44,10 @@ cargo run --release -p voyager-bench --bin voyagerctl -- metrics --smoke \
     > target/metrics.smoke.json
 echo "    wrote target/metrics.smoke.json"
 
+# The benchmark's own tests (perf/ is a package of its own, outside the
+# workspace): the nearest-rank self-test, the tracer tests, same-seed
+# determinism on seed 1 and the held-out seed, and the check that every
+# printed metric is declared in BENCHMARK.json.
+run cargo test --manifest-path perf/Cargo.toml
+
 echo "==> all checks passed"
