@@ -196,15 +196,25 @@ impl QuantizedLstm {
         self.hidden
     }
 
-    /// Computes the fused gate pre-activations
-    /// `gates = qx · wx + qh · wh + bias` into the caller-shaped
-    /// `[batch, 4*hidden]` buffer.
+    /// Writes the input projections `qx · wx` of every row of `qx` into
+    /// the caller-shaped `[rows, 4*hidden]` buffer — for a time-major
+    /// window, every timestep's at once.
     ///
     /// # Panics
     ///
     /// Panics on any shape mismatch.
-    pub fn gates_into(&self, qx: &QuantizedRows, qh: &QuantizedRows, gates: &mut Tensor2) {
+    pub fn input_into(&self, qx: &QuantizedRows, gates: &mut Tensor2) {
         self.wx.forward_into(qx, gates, false);
+    }
+
+    /// Completes one timestep's gate pre-activations: `gates` holds the
+    /// step's input projections (from [`QuantizedLstm::input_into`]) and
+    /// receives `+ qh · wh + bias`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any shape mismatch.
+    pub fn step_into(&self, qh: &QuantizedRows, gates: &mut Tensor2) {
         self.wh.forward_into(qh, gates, true);
         add_row_inplace(gates, &self.bias);
     }
@@ -405,7 +415,8 @@ mod tests {
         quantize_rows_into(&x, &mut qx);
         quantize_rows_into(&h, &mut qh);
         let mut gates = Tensor2::zeros(3, 4 * hidden);
-        qc.gates_into(&qx, &qh, &mut gates);
+        qc.input_into(&qx, &mut gates);
+        qc.step_into(&qh, &mut gates);
         assert_close(&gates, &want, 0.05);
     }
 
