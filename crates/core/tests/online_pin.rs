@@ -58,7 +58,7 @@ fn pin(expected: [u64; 2], run: impl Fn(&Trace) -> OnlineRun) {
 
 #[test]
 fn scaled_online() {
-    pin([0xb510_3f66_ffbd_fd5b, 0x67b4_34b8_4f16_4436], |s| {
+    pin([0x52a3_14c0_c03a_0b58, 0xfd9a_b452_e641_be36], |s| {
         OnlineRun::execute(s, &VoyagerConfig::scaled())
     });
 }
@@ -67,7 +67,7 @@ fn scaled_online() {
 fn scaled_profiled_two_passes() {
     let mut cfg = VoyagerConfig::scaled();
     cfg.train_passes = 2;
-    pin([0x9165_4c92_4538_2936, 0x8a06_e680_6d0b_ebe9], |s| {
+    pin([0x1d8d_0569_5fab_15d1, 0x64ff_9561_eab9_c8fd], |s| {
         OnlineRun::execute_profiled(s, &cfg)
     });
 }
@@ -75,7 +75,7 @@ fn scaled_profiled_two_passes() {
 #[test]
 fn single_label_pc() {
     let cfg = VoyagerConfig::test().with_labels(LabelMode::Single(LabelScheme::Pc));
-    pin([0x855e_0709_6473_d407, 0x4900_436a_441b_485e], |s| {
+    pin([0xb224_20cc_5c74_41d0, 0x5f47_5a58_8049_1345], |s| {
         OnlineRun::execute(s, &cfg)
     });
 }
@@ -83,7 +83,7 @@ fn single_label_pc() {
 #[test]
 fn without_attention() {
     let cfg = VoyagerConfig::test().without_attention();
-    pin([0x754f_b99c_993d_c3fa, 0x5a5f_90de_3758_ffe9], |s| {
+    pin([0xd6cf_0507_17a6_d5db, 0xbd59_b007_64a8_828a], |s| {
         OnlineRun::execute(s, &cfg)
     });
 }
@@ -94,7 +94,7 @@ fn without_pc_feature() {
         pc: false,
         address: true,
     });
-    pin([0x40c5_d598_9be3_c818, 0x2d1b_d876_b858_6ef7], |s| {
+    pin([0x952d_2d4a_79ec_10fe, 0xb86e_62fd_3e03_9620], |s| {
         OnlineRun::execute(s, &cfg)
     });
 }
@@ -102,14 +102,14 @@ fn without_pc_feature() {
 #[test]
 fn hierarchical_head() {
     let cfg = VoyagerConfig::test().with_output_head(OutputHead::Hier);
-    pin([0x6fa2_eb1e_76a3_3003, 0xbffc_025f_c7f2_2a5a], |s| {
+    pin([0xa258_b59f_e155_d576, 0x6d88_9fda_3a17_69c9], |s| {
         OnlineRun::execute(s, &cfg)
     });
 }
 
 #[test]
 fn delta_lstm() {
-    pin([0xa123_fb8d_8a2f_1046, 0xa1f7_5622_cdfa_00a5], |s| {
+    pin([0xf68c_c345_e7b9_bba1, 0xd613_322b_844a_e81d], |s| {
         DeltaLstm::run_online(s, &DeltaLstmConfig::scaled())
     });
 }
