@@ -177,13 +177,13 @@ fn real_workspace_unsafe_inventory_is_pinned_and_documented() {
     assert!(undocumented.is_empty(), "{undocumented:#?}");
     // The whole inventory is the two bench-bin counting allocators
     // (10 sites) plus the tensor SIMD module: dispatch into
-    // `#[target_feature]` kernels in simd/mod.rs, raw vector
-    // loads/stores in simd/x86.rs and simd/neon.rs. A new `unsafe`
-    // site must be audited (SAFETY comment) and this pin updated
-    // deliberately.
+    // `#[target_feature]` GEMM tiles and gate-loop copies in
+    // simd/mod.rs (8), raw vector and in-place operand loads/stores in
+    // simd/x86.rs (11) and simd/neon.rs (6). A new `unsafe` site must
+    // be audited (SAFETY comment) and this pin updated deliberately.
     assert_eq!(
         report.unsafe_sites.len(),
-        31,
+        35,
         "unsafe inventory changed: {:#?}",
         report.unsafe_sites
     );

@@ -96,9 +96,9 @@ struct DirectNumbers {
 /// Direct single-row calls on one request window: the p50 latency per
 /// call and the mean heap bytes allocated per call. Two warmup calls
 /// come first: the first grows the fast-path arena, the second
-/// promotes the weights' packed GEMM panels into the packed-B cache (a
-/// weight is cached on its second sighting). `predict_int8` quantizes
-/// the weights on its first call.
+/// promotes any weight a GEMM packs into the packed-B cache (a weight
+/// is cached on its second sighting; x86 reads NN weights in place).
+/// `predict_int8` quantizes the weights on its first call.
 fn bench_direct(path: &'static str, predict: Predict, calls: usize) -> DirectNumbers {
     let (cfg, page_vocab) = serve_config();
     let mut model = VoyagerModel::new(&cfg, 64, page_vocab, 64);

@@ -214,9 +214,10 @@ pub fn sigmoid(x: f32) -> f32 {
 /// op order: `c' = (σ(f)·c) + (σ(i)·tanh(g))`, `h' = σ(o)·tanh(c')`.
 ///
 /// Gates are activated one block at a time, so each loop runs a single
-/// nonlinearity over contiguous memory and vectorizes. The tape's
-/// `lstm_seq` op, `predict_fast` and `predict_int8` all update their
-/// cells here.
+/// nonlinearity over contiguous memory and vectorizes; on AVX-512
+/// hosts a copy compiled for that width runs, with the same bits (see
+/// [`crate::simd`]). The tape's `lstm_seq` op, `predict_fast` and
+/// `predict_int8` all update their cells here.
 ///
 /// # Panics
 ///
@@ -232,6 +233,13 @@ pub fn lstm_cell(gates: &mut [f32], c: &mut [f32], h: &mut [f32], hidden: usize)
         c.len(),
         h.len()
     );
+    crate::simd::lstm_cell(gates, c, h, hidden);
+}
+
+/// [`lstm_cell`]'s loops, shared by the plain and `avx512f` copies
+/// that [`crate::simd::lstm_cell`] picks from.
+#[inline(always)]
+pub(crate) fn lstm_cell_body(gates: &mut [f32], c: &mut [f32], h: &mut [f32], hidden: usize) {
     let rows = gates
         .chunks_exact_mut(4 * hidden)
         .zip(c.chunks_exact_mut(hidden).zip(h.chunks_exact_mut(hidden)));
