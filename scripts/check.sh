@@ -30,6 +30,9 @@ run cargo test -q
 # fallback must stand on its own (CI runs the same job).
 run cargo test -q -p voyager-tensor -p voyager-nn -p voyager-runtime \
     --features voyager-tensor/force-scalar
+# The online loop's pins again on the scalar path: every tier must give
+# the same training and prediction bits end to end.
+run cargo test -q -p voyager --test online_pin --features voyager-tensor/force-scalar
 run cargo run --release -p voyager-bench --bin pr3_kernels -- --smoke
 run cargo run --release -p voyager-bench --bin pr5_infer -- --smoke
 run cargo run --release -p voyager-bench --bin pr6_table -- --smoke
