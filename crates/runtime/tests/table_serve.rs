@@ -13,6 +13,15 @@ use voyager_runtime::{
 
 const DEGREE: usize = 2;
 
+/// Serializes the tests that serve table misses: the fallback-row
+/// counter is process-wide, so a concurrent test's misses would leak
+/// into another's before/after delta.
+fn fallback_counter_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// The canonical trained 4-pattern model from the fast-path tests:
 /// deterministic, converges in 150 steps.
 fn trained_model() -> (VoyagerModel, SeqBatch) {
@@ -55,6 +64,7 @@ fn to_requests(batch: &SeqBatch) -> Vec<InferenceRequest> {
 
 #[test]
 fn table_miss_falls_back_to_exact_int8_predictions() {
+    let _guard = fallback_counter_lock();
     let (mut model, corpus) = trained_model();
     let seq = corpus.pc[0].len();
     // Probe contexts absent from the distillation corpus: page
@@ -96,6 +106,7 @@ fn table_miss_falls_back_to_exact_int8_predictions() {
 
 #[test]
 fn table_hits_agree_with_the_teacher_and_mix_with_fallbacks() {
+    let _guard = fallback_counter_lock();
     let (mut model, corpus) = trained_model();
     let seq = corpus.pc[0].len();
     let teacher_on_corpus = model.predict_fast(&corpus, 1);
