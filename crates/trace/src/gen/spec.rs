@@ -14,6 +14,9 @@
 //!   [`ColdCode`](super::util::ColdCode) sweeps whose loads are
 //!   L1-resident and therefore invisible to the LLC.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::rng::Rng;
 
 use super::util::{code, mix64, region, ColdCode, TraceBuilder, Zipf};
@@ -200,23 +203,26 @@ pub(crate) fn omnetpp(cfg: &GeneratorConfig, rng: &mut impl Rng) -> Trace {
     let module_region = region(20);
     let n_modules = 2048u64;
     let mut cold = ColdCode::new(9, 170, 140);
-    let mut heap: Vec<(u64, u64)> = Vec::new(); // (time, msg id)
+    // Future events as (time, msg id). Message ids never repeat, so
+    // the earliest event is unique and the pop order is total.
+    let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
     let mut now = 0u64;
     let mut next_msg = 0u64;
     for _ in 0..64 {
-        heap.push((rng.gen_range(0..1000), next_msg));
+        heap.push(Reverse((rng.gen_range(0..1000), next_msg)));
         next_msg += 1;
     }
-    heap.sort_unstable();
     let mut events = 0u64;
     while !b.done() {
         events += 1;
         if events.is_multiple_of(16) {
             cold.sweep(&mut b, 48);
         }
-        // Pop earliest event: heap sift-down loads.
-        heap.sort_unstable(); // simplified heap; loads modelled below
-        let (t, msg) = heap.remove(0);
+        // Pop earliest event: heap sift-down loads, modelled below
+        // from the queue's length alone.
+        let Some(Reverse((t, msg))) = heap.pop() else {
+            break;
+        };
         now = now.max(t);
         let mut i = 0usize;
         while 2 * i + 1 < heap.len() && i < 6 {
@@ -241,7 +247,7 @@ pub(crate) fn omnetpp(cfg: &GeneratorConfig, rng: &mut impl Rng) -> Trace {
         }
         // Handler schedules 1-2 future events.
         for _ in 0..rng.gen_range(1..=2) {
-            heap.push((now + rng.gen_range(1..500), next_msg));
+            heap.push(Reverse((now + rng.gen_range(1..500), next_msg)));
             b.load(code(44, 0), heap_region + 16 * heap.len() as u64, 1);
             next_msg += 1;
         }
