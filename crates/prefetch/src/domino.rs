@@ -1,9 +1,8 @@
 //! Domino: two-address global temporal correlation.
 
-use std::collections::HashMap;
-
 use voyager_trace::MemoryAccess;
 
+use crate::fasthash::FastMap;
 use crate::Prefetcher;
 
 /// Idealized Domino (Bakhshalipour et al., HPCA 2018): like STMS it
@@ -14,8 +13,8 @@ use crate::Prefetcher;
 #[derive(Debug, Default)]
 pub struct Domino {
     history: Vec<u64>,
-    pair_pos: HashMap<(u64, u64), usize>,
-    single_pos: HashMap<u64, usize>,
+    pair_pos: FastMap<(u64, u64), usize>,
+    single_pos: FastMap<u64, usize>,
     prev: Option<u64>,
     degree: usize,
 }
@@ -25,8 +24,8 @@ impl Domino {
     pub fn new() -> Self {
         Domino {
             history: Vec::new(),
-            pair_pos: HashMap::new(),
-            single_pos: HashMap::new(),
+            pair_pos: FastMap::default(),
+            single_pos: FastMap::default(),
             prev: None,
             degree: 1,
         }

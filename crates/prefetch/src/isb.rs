@@ -1,9 +1,8 @@
 //! ISB: PC-localized temporal correlation.
 
-use std::collections::HashMap;
-
 use voyager_trace::MemoryAccess;
 
+use crate::fasthash::FastMap;
 use crate::Prefetcher;
 
 /// Idealized ISB (Jain & Lin, MICRO 2013): maintains a *PC-localized*
@@ -21,9 +20,9 @@ use crate::Prefetcher;
 #[derive(Debug, Default)]
 pub struct Isb {
     /// (pc, line) -> next line observed in that PC's stream.
-    successor: HashMap<(u64, u64), u64>,
+    successor: FastMap<(u64, u64), u64>,
     /// pc -> last line accessed by that pc.
-    last_by_pc: HashMap<u64, u64>,
+    last_by_pc: FastMap<u64, u64>,
     degree: usize,
 }
 
@@ -31,8 +30,8 @@ impl Isb {
     /// Creates an ISB prefetcher with degree 1.
     pub fn new() -> Self {
         Isb {
-            successor: HashMap::new(),
-            last_by_pc: HashMap::new(),
+            successor: FastMap::default(),
+            last_by_pc: FastMap::default(),
             degree: 1,
         }
     }

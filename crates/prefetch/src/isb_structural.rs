@@ -15,10 +15,9 @@
 //!   stream takes a different path), the line is *re-linearized* at the
 //!   end of the new stream, keeping hot streams contiguous.
 
-use std::collections::HashMap;
-
 use voyager_trace::MemoryAccess;
 
+use crate::fasthash::FastMap;
 use crate::Prefetcher;
 
 /// Lines allocated per stream chunk in the structural space.
@@ -33,11 +32,11 @@ const CHUNK: u64 = 256;
 #[derive(Debug, Default)]
 pub struct IsbStructural {
     /// physical line -> structural address.
-    ps: HashMap<u64, u64>,
+    ps: FastMap<u64, u64>,
     /// structural address -> physical line.
-    sp: HashMap<u64, u64>,
+    sp: FastMap<u64, u64>,
     /// pc -> structural address of its stream's last element.
-    stream_tail: HashMap<u64, u64>,
+    stream_tail: FastMap<u64, u64>,
     /// Next unallocated structural chunk base.
     next_chunk: u64,
     degree: usize,

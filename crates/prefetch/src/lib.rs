@@ -34,6 +34,7 @@
 
 mod bo;
 mod domino;
+mod fasthash;
 mod hybrid;
 mod isb;
 mod isb_structural;

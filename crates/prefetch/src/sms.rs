@@ -1,9 +1,8 @@
 //! SMS: Spatial Memory Streaming (Somogyi et al., ISCA 2006).
 
-use std::collections::HashMap;
-
 use voyager_trace::MemoryAccess;
 
+use crate::fasthash::FastMap;
 use crate::Prefetcher;
 
 /// Lines per spatial region (the paper's SMS uses page-sized regions;
@@ -31,8 +30,8 @@ struct Generation {
 /// compulsory misses.
 #[derive(Debug, Default)]
 pub struct Sms {
-    active: HashMap<u64, Generation>,
-    history: HashMap<(u64, u64), u64>,
+    active: FastMap<u64, Generation>,
+    history: FastMap<(u64, u64), u64>,
     degree: usize,
 }
 
@@ -42,8 +41,8 @@ impl Sms {
     /// still apply via [`Prefetcher::set_degree`]).
     pub fn new() -> Self {
         Sms {
-            active: HashMap::new(),
-            history: HashMap::new(),
+            active: FastMap::default(),
+            history: FastMap::default(),
             degree: 4,
         }
     }

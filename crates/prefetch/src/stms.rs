@@ -1,9 +1,8 @@
 //! STMS: sampled temporal memory streaming over the global stream.
 
-use std::collections::HashMap;
-
 use voyager_trace::MemoryAccess;
 
+use crate::fasthash::FastMap;
 use crate::Prefetcher;
 
 /// Idealized STMS (Wenisch et al., HPCA 2009): records the global
@@ -29,7 +28,7 @@ use crate::Prefetcher;
 #[derive(Debug, Default)]
 pub struct Stms {
     history: Vec<u64>,
-    last_pos: HashMap<u64, usize>,
+    last_pos: FastMap<u64, usize>,
     degree: usize,
 }
 
@@ -38,7 +37,7 @@ impl Stms {
     pub fn new() -> Self {
         Stms {
             history: Vec::new(),
-            last_pos: HashMap::new(),
+            last_pos: FastMap::default(),
             degree: 1,
         }
     }

@@ -1,9 +1,8 @@
 //! Per-PC stride prefetching (the classical IP-stride design).
 
-use std::collections::HashMap;
-
 use voyager_trace::MemoryAccess;
 
+use crate::fasthash::FastMap;
 use crate::Prefetcher;
 
 #[derive(Debug, Clone, Copy)]
@@ -22,7 +21,7 @@ struct StrideEntry {
 /// delta-correlation hardware baseline.
 #[derive(Debug, Default)]
 pub struct StridePc {
-    table: HashMap<u64, StrideEntry>,
+    table: FastMap<u64, StrideEntry>,
     degree: usize,
 }
 
@@ -30,7 +29,7 @@ impl StridePc {
     /// Creates a stride prefetcher with degree 1.
     pub fn new() -> Self {
         StridePc {
-            table: HashMap::new(),
+            table: FastMap::default(),
             degree: 1,
         }
     }

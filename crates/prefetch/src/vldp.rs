@@ -1,10 +1,11 @@
 //! VLDP: the Variable Length Delta Prefetcher (Shevgoor et al., MICRO
 //! 2015).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use voyager_trace::{page_of, MemoryAccess};
 
+use crate::fasthash::FastMap;
 use crate::Prefetcher;
 
 /// Longest delta history matched by the prediction tables.
@@ -53,7 +54,7 @@ fn key_of(history: &History, len: usize) -> History {
 /// deterministic.
 #[derive(Debug, Default)]
 pub struct Vldp {
-    pages: HashMap<u64, PageState>,
+    pages: FastMap<u64, PageState>,
     /// One table per history length: history key (newest last) -> next
     /// delta.
     tables: Vec<BTreeMap<History, i64>>,
@@ -64,7 +65,7 @@ impl Vldp {
     /// Creates a VLDP prefetcher with degree 1.
     pub fn new() -> Self {
         Vldp {
-            pages: HashMap::new(),
+            pages: FastMap::default(),
             tables: (0..MAX_HISTORY).map(|_| BTreeMap::new()).collect(),
             degree: 1,
         }

@@ -17,6 +17,7 @@ use crate::rng::{SeedableRng, StdRng};
 use crate::Trace;
 
 pub use graph::CsrGraph;
+pub use util::mix64;
 pub use zipf::{zipf_trace, ZipfSampler};
 
 /// Parameters shared by all generators.
@@ -300,9 +301,11 @@ pub(crate) mod util {
         }
     }
 
-    /// Deterministic 64-bit hash (splitmix64 finalizer) used to spread
-    /// logical entities over PC pools and hash buckets.
-    pub(crate) fn mix64(mut x: u64) -> u64 {
+    /// Deterministic 64-bit hash (the splitmix64 finalizer, a bijection
+    /// on `u64`). The generators use it to spread logical entities over
+    /// PC pools and hash buckets; `voyager-prefetch` keys it to hash
+    /// its tables.
+    pub fn mix64(mut x: u64) -> u64 {
         x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
         x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
