@@ -21,13 +21,16 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (lines not divisible by
-    /// ways).
+    /// Panics if the geometry is inconsistent: lines not divisible by
+    /// ways, or a set count that is not a power of two (a line's set is
+    /// its low bits).
     pub fn sets(&self) -> usize {
         let lines = self.lines();
         assert!(
-            self.ways > 0 && lines.is_multiple_of(self.ways),
-            "{} lines not divisible into {}-way sets",
+            self.ways > 0
+                && lines.is_multiple_of(self.ways)
+                && (lines / self.ways).is_power_of_two(),
+            "{} lines do not form a power-of-two number of {}-way sets",
             lines,
             self.ways
         );

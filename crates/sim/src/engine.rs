@@ -3,7 +3,6 @@
 
 use std::collections::VecDeque;
 
-use voyager_obs::Counter;
 use voyager_prefetch::Prefetcher;
 use voyager_trace::{MemoryAccess, Trace};
 
@@ -27,7 +26,7 @@ pub struct Hierarchy {
     /// Useful prefetches whose data had not fully arrived when the
     /// demand hit them (the demand still paid part of the memory
     /// latency).
-    late_prefetch_hits: Counter,
+    late_prefetch_hits: u64,
     /// Earliest cycle at which the DRAM channel can start the next
     /// *demand* transfer (bandwidth model: one line per `dram_gap`
     /// cycles).
@@ -60,7 +59,7 @@ impl Hierarchy {
             config: *config,
             issued_prefetches: 0,
             useful_prefetches: 0,
-            late_prefetch_hits: Counter::new(),
+            late_prefetch_hits: 0,
             dram_free_at: 0.0,
             prefetch_free_at: 0.0,
         }
@@ -86,6 +85,9 @@ impl Hierarchy {
         start - now
     }
 
+    /// Walks `line` down the hierarchy. A level whose lookup missed is
+    /// filled without another presence check: nothing between the
+    /// lookup and the fill touches that level.
     pub(crate) fn demand(&mut self, line: u64, now: f64) -> DemandOutcome {
         let c = &self.config;
         let l1_lat = c.l1d.latency as f64;
@@ -98,7 +100,7 @@ impl Hierarchy {
         }
         let l2_lat = l1_lat + c.l2.latency as f64;
         if self.l2.lookup(line, now).hit {
-            self.l1.fill(line, now, false);
+            self.l1.insert(line, now, false);
             return DemandOutcome {
                 latency: l2_lat,
                 reached_llc: false,
@@ -115,11 +117,11 @@ impl Hierarchy {
             if r.first_use_of_prefetch {
                 self.useful_prefetches += 1;
                 if r.residual > c.llc.latency as f64 {
-                    self.late_prefetch_hits.inc();
+                    self.late_prefetch_hits += 1;
                 }
             }
-            self.l1.fill(line, now, false);
-            self.l2.fill(line, now, false);
+            self.l1.insert(line, now, false);
+            self.l2.insert(line, now, false);
             // A late (in-flight) prefetch overlaps its remaining fill
             // time with the LLC lookup; the demand waits for whichever
             // finishes last.
@@ -135,9 +137,9 @@ impl Hierarchy {
         let dram_latency = c.dram_latency as f64;
         let queue = self.dram_queue_delay(now);
         let latency = llc_lat + queue + dram_latency;
-        self.llc.fill(line, now + latency, false);
-        self.l2.fill(line, now, false);
-        self.l1.fill(line, now, false);
+        self.llc.insert(line, now + latency, false);
+        self.l2.insert(line, now, false);
+        self.l1.insert(line, now, false);
         DemandOutcome {
             latency,
             reached_llc: true,
@@ -156,7 +158,7 @@ impl Hierarchy {
         // own timeliness) but never demand traffic.
         let queue = self.prefetch_queue_delay(now);
         let ready = now + queue + (self.config.llc.latency + self.config.dram_latency) as f64;
-        self.llc.fill(line, ready, true);
+        self.llc.insert(line, ready, true);
         self.issued_prefetches += 1;
     }
 
@@ -193,7 +195,7 @@ impl Hierarchy {
     /// Useful prefetches that were still in flight when the demand
     /// arrived at the LLC (the demand paid a residual wait).
     pub fn late_prefetch_hits(&self) -> u64 {
-        self.late_prefetch_hits.get()
+        self.late_prefetch_hits
     }
 }
 
@@ -307,8 +309,8 @@ pub fn simulate<P: Prefetcher + ?Sized>(
     let width = config.width as f64;
     let rob = config.rob as u64;
     let mshrs = config.mshrs as usize;
-    let mshr_stalls = Counter::new();
-    let rob_stalls = Counter::new();
+    let mut mshr_stalls: u64 = 0;
+    let mut rob_stalls: u64 = 0;
     // Scratch buffer reused across the whole run: the per-access hot
     // path below does not allocate once it reaches steady state.
     let mut preds: Vec<u64> = Vec::new();
@@ -322,9 +324,9 @@ pub fn simulate<P: Prefetcher + ?Sized>(
                 outstanding.pop_front();
             } else if instr.saturating_sub(idx) > rob || outstanding.len() >= mshrs {
                 if instr.saturating_sub(idx) > rob {
-                    rob_stalls.inc();
+                    rob_stalls += 1;
                 } else {
-                    mshr_stalls.inc();
+                    mshr_stalls += 1;
                 }
                 cycle = fin;
                 outstanding.pop_front();
@@ -364,8 +366,8 @@ pub fn simulate<P: Prefetcher + ?Sized>(
         issued_prefetches: h.issued_prefetches(),
         useful_prefetches: h.useful_prefetches(),
         late_prefetch_hits: h.late_prefetch_hits(),
-        mshr_stalls: mshr_stalls.get(),
-        rob_stalls: rob_stalls.get(),
+        mshr_stalls,
+        rob_stalls,
     }
 }
 
