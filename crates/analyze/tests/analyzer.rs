@@ -54,6 +54,7 @@ fn each_fixture_trips_exactly_its_lint() {
         ("recv_under_lock.rs", "recv-under-lock"),
         ("unsafe_no_safety.rs", "unsafe-audit"),
         ("hash_iteration.rs", "hash-iteration"),
+        ("hash_iteration_generic_alias.rs", "hash-iteration"),
     ] {
         assert_eq!(lints_in(file), vec![lint], "fixture {file}");
     }
@@ -92,6 +93,25 @@ fn broken_workspace_fails_the_gate() {
     }
     // Nothing is allowlisted, so every finding is a violation.
     assert_eq!(report.ratchet.violations.len(), report.findings.len());
+}
+
+#[test]
+fn hash_alias_declared_in_another_file_is_tracked() {
+    // `bo.rs` iterates a field typed `crate::fasthash::LineMap<..>`; the
+    // generic alias is declared in `fasthash.rs`.
+    let report =
+        analyze_workspace(&fixtures().join("alias_workspace"), &Allowlist::default()).unwrap();
+    let found: Vec<(&str, &str)> = report
+        .findings
+        .iter()
+        .map(|f| (f.lint, f.path.as_str()))
+        .collect();
+    assert_eq!(
+        found,
+        vec![("hash-iteration", "crates/prefetch/src/bo.rs")],
+        "{:#?}",
+        report.findings
+    );
 }
 
 #[test]
