@@ -106,19 +106,12 @@ const SANCTIONED_FNS: &[&str] = &[
     "forward_table",
 ];
 
-/// Calls the hot-path walk does not enter: `predict` is the tape slow
-/// path the dispatcher may route to by explicit mode choice,
-/// `prepare_int8` is one-time lazy quantization setup,
-/// `reshape_for_output` reallocates only when the output shape
-/// changes — steady-state serving reuses the buffer — and
-/// `adopt_published` is the fleet hot-swap rebuild, which runs between
-/// batches only when a new model version was published.
-const BOUNDARY_FNS: &[&str] = &[
-    "predict",
-    "prepare_int8",
-    "reshape_for_output",
-    "adopt_published",
-];
+/// Calls the hot-path walk does not enter: `prepare_int8` is one-time
+/// lazy quantization setup, `reshape_for_output` reallocates only when
+/// the output shape changes — steady-state serving reuses the buffer —
+/// and `adopt_published` is the fleet hot-swap rebuild, which runs
+/// between batches only when a new model version was published.
+const BOUNDARY_FNS: &[&str] = &["prepare_int8", "reshape_for_output", "adopt_published"];
 
 /// The workspace hot-path configuration (also serialized into the
 /// `--json` report so CI consumers see the exemption surface).

@@ -195,15 +195,15 @@ fn real_workspace_unsafe_inventory_is_pinned_and_documented() {
         .filter(|s| !s.has_safety_comment)
         .collect();
     assert!(undocumented.is_empty(), "{undocumented:#?}");
-    // The whole inventory is the two bench-bin counting allocators
-    // (10 sites) plus the tensor SIMD module: dispatch into
+    // The whole inventory is the `layers` bench harness's counting
+    // allocator (5 sites) plus the tensor SIMD module: dispatch into
     // `#[target_feature]` GEMM tiles and gate-loop copies in
     // simd/mod.rs (8), raw vector and in-place operand loads/stores in
     // simd/x86.rs (11) and simd/neon.rs (6). A new `unsafe` site must
     // be audited (SAFETY comment) and this pin updated deliberately.
     assert_eq!(
         report.unsafe_sites.len(),
-        35,
+        30,
         "unsafe inventory changed: {:#?}",
         report.unsafe_sites
     );
@@ -241,12 +241,7 @@ fn sanctioned_surface_is_pinned() {
     );
     assert_eq!(
         cfg.boundary_fns,
-        [
-            "predict",
-            "prepare_int8",
-            "reshape_for_output",
-            "adopt_published"
-        ]
+        ["prepare_int8", "reshape_for_output", "adopt_published"]
     );
     assert_eq!(
         cfg.sanctioned_modules,

@@ -55,7 +55,6 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -63,7 +62,8 @@ use voyager::{
     positions_with_history, DeltaLstm, DeltaLstmConfig, OnlineRun, SeqBatch, TrainingSet,
     VoyagerConfig, VoyagerModel,
 };
-use voyager_bench::fleet_demo;
+use voyager_bench::load::{drive_fleet, serve_closed_loop};
+use voyager_bench::{fleet_demo, mode_name};
 use voyager_distill::{distill, DistillReport, TableConfig};
 use voyager_obs::{Profiler, Registry};
 use voyager_prefetch::{
@@ -71,9 +71,9 @@ use voyager_prefetch::{
     StridePc, Vldp,
 };
 use voyager_runtime::{
-    train_data_parallel, train_data_parallel_profiled, CheckpointManager, FleetConfig, FleetError,
-    FleetServer, InferenceRequest, MicrobatchConfig, MicrobatchServer, ModelRegistry, PredictMode,
-    ServiceConfig, TrainerConfig, VoyagerService,
+    train_data_parallel, train_data_parallel_profiled, CheckpointManager, FleetConfig, FleetServer,
+    InferenceRequest, MicrobatchConfig, ModelRegistry, PredictMode, ServiceConfig, TrainerConfig,
+    VoyagerService,
 };
 use voyager_sim::{llc_stream, unified_accuracy_coverage_windowed, SimConfig};
 use voyager_trace::gen::{Benchmark, GeneratorConfig};
@@ -349,8 +349,12 @@ fn cmd_serve_bench(args: &[String]) -> CliResult {
     let tokens = vocab.tokenize(&stream);
     let windows = stream_requests(&tokens, cfg.seq_len)?;
     println!(
-        "serving {} requests from {} client(s) (max batch {}, max delay {:?}, degree {degree}, mode {mode:?})",
-        requests, clients, mb.max_batch, mb.max_delay
+        "serving {} requests from {} client(s) (max batch {}, max delay {:?}, degree {degree}, mode {})",
+        requests,
+        clients,
+        mb.max_batch,
+        mb.max_delay,
+        mode_name(mode)
     );
     let (service, report) = fresh_service(&cfg, &vocab, &tokens, mode, degree, 4096);
     if let Some(report) = report {
@@ -365,24 +369,9 @@ fn cmd_serve_bench(args: &[String]) -> CliResult {
                 .map_or_else(|| "n/a".to_string(), |r| format!("{r:.3}")),
         );
     }
-    let (server, client) = MicrobatchServer::spawn(service, mb);
-    let per_client = requests.div_ceil(clients);
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            let client = client.clone();
-            let windows = &windows;
-            scope.spawn(move || {
-                for i in 0..per_client {
-                    let req = windows[(c * per_client + i) % windows.len()].clone();
-                    if client.infer(req).is_none() {
-                        return;
-                    }
-                }
-            });
-        }
+    let stats = serve_closed_loop(service, mb, clients, requests, |t| {
+        windows[t % windows.len()].clone()
     });
-    drop(client);
-    let stats = server.join();
     println!(
         "served {} requests in {} batches ({:.1} mean batch size) over {:.2}s",
         stats.requests,
@@ -456,10 +445,6 @@ fn fresh_service(
     (service, Some(report))
 }
 
-/// Runs a short end-to-end pipeline (timing sim, data-parallel
-/// training, microbatched serving) with every observability hook
-/// enabled, folds the results into one [`Registry`] snapshot, and
-/// prints the validated JSON dump on stdout.
 fn cmd_fleet_bench(args: &[String]) -> CliResult {
     let flags = parse_flags(args)?;
     let shards_n: usize = flags
@@ -520,46 +505,26 @@ fn cmd_fleet_bench(args: &[String]) -> CliResult {
     let mut v2 = fleet_demo::trained_model(swap_workload, train_steps, 1);
     let v2_tables = fleet_demo::tables_for(&mut v2, swap_workload, DISTILL_WINDOWS);
 
-    let offered = shards_n * clients * requests;
-    let completed = Arc::new(AtomicUsize::new(0));
-    let stopped = AtomicUsize::new(0);
-    std::thread::scope(|scope| -> CliResult {
-        for shard in &shards {
-            for c in 0..clients {
-                let client = client.clone();
-                let workload = shard.workload;
-                let completed = completed.clone();
-                let stopped = &stopped;
-                scope.spawn(move || {
-                    for i in 0..requests {
-                        match client.infer(fleet_demo::request(workload, c * requests + i)) {
-                            // Sheds are the expected overload outcome
-                            // and land on the fleet's counters.
-                            Ok(_) | Err(FleetError::Shed(_)) => {}
-                            Err(_) => {
-                                stopped.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        completed.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        }
-        while completed.load(Ordering::Relaxed) < offered / 4 {
-            std::thread::yield_now();
-        }
-        let version = registry.publish(
-            swap_workload,
-            &fleet_demo::model_spec(),
-            &v2,
-            Some(v2_tables),
-        )?;
-        println!("published {version} for shard {swap_workload} mid-run");
-        Ok(())
-    })?;
+    let (load, version) = drive_fleet(
+        &client,
+        &shards,
+        clients,
+        requests,
+        Some(|| {
+            registry.publish(
+                swap_workload,
+                &fleet_demo::model_spec(),
+                &v2,
+                Some(v2_tables),
+            )
+        }),
+    );
+    if let Some(version) = version {
+        println!("published {} for shard {swap_workload} mid-run", version?);
+    }
     drop(client);
     let stats = server.join();
-    if stopped.load(Ordering::Relaxed) > 0 {
+    if load.other > 0 {
         return Err("a shard server stopped while clients were streaming".into());
     }
 
@@ -571,7 +536,7 @@ fn cmd_fleet_bench(args: &[String]) -> CliResult {
         println!(
             "{:<8} {:>9} {:>10} {:>12} {:>12} {:>10.0} {:>10.0} {:>4} {:>6}",
             report.name,
-            format!("{:?}", spec.mode).to_lowercase(),
+            mode_name(spec.mode),
             report.admitted,
             report.shed_queue_full,
             report.shed_deadline,
@@ -583,10 +548,11 @@ fn cmd_fleet_bench(args: &[String]) -> CliResult {
     }
     let shed = stats.shed();
     println!(
-        "\ntotal: offered {offered}, admitted {}, shed {} ({:.1}%)",
+        "\ntotal: offered {}, admitted {}, shed {} ({:.1}%)",
+        load.offered(),
         stats.admitted(),
         shed,
-        100.0 * shed as f64 / offered.max(1) as f64,
+        100.0 * shed as f64 / load.offered().max(1) as f64,
     );
     let swapped = stats
         .shards
@@ -599,6 +565,10 @@ fn cmd_fleet_bench(args: &[String]) -> CliResult {
     Ok(())
 }
 
+/// Runs a short end-to-end pipeline (timing sim, data-parallel
+/// training, microbatched serving) with every observability hook
+/// enabled, folds the results into one [`Registry`] snapshot, and
+/// prints the validated JSON dump on stdout.
 fn cmd_metrics(args: &[String]) -> CliResult {
     const USAGE: &str = "usage: metrics [--smoke] [--serve-mode int8|table]";
     let mut smoke = false;
@@ -687,25 +657,9 @@ fn cmd_metrics(args: &[String]) -> CliResult {
     );
     let stats = {
         let _serve = profiler.span("serve");
-        let (server, client) = MicrobatchServer::spawn(service, MicrobatchConfig::default());
-        let clients = 2usize;
-        let per_client = requests.div_ceil(clients);
-        std::thread::scope(|scope| {
-            for c in 0..clients {
-                let client = client.clone();
-                let windows = &windows;
-                scope.spawn(move || {
-                    for i in 0..per_client {
-                        let req = windows[(c * per_client + i) % windows.len()].clone();
-                        if client.infer(req).is_none() {
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        drop(client);
-        server.join()
+        serve_closed_loop(service, MicrobatchConfig::default(), 2, requests, |t| {
+            windows[t % windows.len()].clone()
+        })
     };
     registry
         .counter("serve.requests")

@@ -4,7 +4,9 @@
 //! Each figure/table has a binary under `src/bin/` (see DESIGN.md's
 //! per-experiment index); this library provides the pieces they share:
 //! scale selection, trace/stream preparation, baseline prediction
-//! collection, and plain-text table rendering.
+//! collection, and plain-text table rendering. [`load`] holds the load
+//! drivers and timers that the `layers` bench harness and `voyagerctl`
+//! share, and [`fleet_demo`] the synthetic fleet they drive.
 //!
 //! Set `VOYAGER_SCALE=small|medium|full` to trade experiment fidelity
 //! against runtime (default: `medium`, a few minutes per figure on one
@@ -12,6 +14,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod load;
 
 use voyager::{OnlineRun, VoyagerConfig};
 use voyager_prefetch::Prefetcher;
@@ -239,10 +243,12 @@ pub fn mode_name(mode: PredictMode) -> &'static str {
     }
 }
 
-/// Shared synthetic multi-workload fleet used by the `pr8_fleet` bench
-/// and `voyagerctl fleet-bench`: per-workload request streams, shard
-/// specs cycling through the serving tiers, and train-then-publish
-/// helpers over an in-memory [`ModelRegistry`].
+/// Shared synthetic multi-workload fleet used by the `layers` harness's
+/// `fleet` section and `voyagerctl fleet-bench` (the benchmark's fleet
+/// workload takes [`steady_config`](fleet_demo::steady_config) from
+/// here too): per-workload request streams, shard specs cycling through
+/// the serving tiers, and train-then-publish helpers over an in-memory
+/// [`ModelRegistry`].
 pub mod fleet_demo {
     use std::time::Duration;
 

@@ -183,15 +183,15 @@ impl Default for ChunkPool {
 /// Work budget (in `2·m·n·k` flops) per [`par_gemm`] chunk. Problems
 /// below one budget stay on the calling thread: for small problems
 /// (e.g. 64³ ≈ 0.5 Mflop), scoped-thread spawn/join overhead exceeds
-/// the compute itself — BENCH_pr3_kernels.json once measured the
-/// parallel NT/64 path at roughly half the blocked kernel's
-/// throughput. Larger problems fan out to `flops / budget` chunks,
-/// capped by the pool width, so crossing the threshold never jumps
-/// straight from one chunk to `threads` slivers of near-threshold
-/// size — that all-or-nothing fan-out is what left parallel NT *under*
-/// the single-thread kernel on the committed run: each sliver re-paid
-/// per-call setup (and, with packed kernels, re-packed all of B) for
-/// only a fraction of the work.
+/// the compute itself — the kernel bench (now the `kernels` section of
+/// BENCH_layers.json) once measured the parallel NT/64 path at roughly
+/// half the blocked kernel's throughput. Larger problems fan out to
+/// `flops / budget` chunks, capped by the pool width, so crossing the
+/// threshold never jumps straight from one chunk to `threads` slivers
+/// of near-threshold size — that all-or-nothing fan-out is what left
+/// parallel NT *under* the single-thread kernel on the committed run:
+/// each sliver re-paid per-call setup (and, with packed kernels,
+/// re-packed all of B) for only a fraction of the work.
 const PAR_GEMM_MIN_FLOPS: usize = 1 << 20;
 
 /// Row-parallel blocked GEMM: partitions the output rows over the

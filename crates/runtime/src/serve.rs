@@ -227,7 +227,9 @@ impl VoyagerService {
         for (i, row) in out.iter_mut().enumerate().take(n) {
             let hit = self.tables.as_ref().and_then(|t| {
                 let pc = self.batch.pc[i].last().copied()?;
-                t.predict(&self.batch.page[i], pc, self.degree)
+                // A path call: the analyzer resolves `t.predict(..)` by
+                // name, which would link the model-side `predict`s too.
+                DistilledTables::predict(t, &self.batch.page[i], pc, self.degree)
             });
             match hit {
                 Some(preds) => *row = preds,

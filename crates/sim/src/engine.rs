@@ -348,10 +348,10 @@ pub fn simulate<P: Prefetcher + ?Sized>(
             }
         }
     }
-    // Drain.
-    if let Some(&(_, fin)) = outstanding.back() {
-        cycle = cycle.max(fin);
-    }
+    // Drain: the run ends when the last outstanding load completes.
+    // The queue is in issue order, not finish order: a late prefetch
+    // hit can finish before an earlier DRAM miss.
+    cycle = outstanding.iter().fold(cycle, |c, &(_, fin)| c.max(fin));
     let [(l1_accesses, l1_misses), (l2_accesses, l2_misses), _] = h.level_stats();
     SimOutcome {
         ipc: instr as f64 / cycle.max(1.0),
@@ -374,7 +374,7 @@ pub fn simulate<P: Prefetcher + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use voyager_prefetch::{BestOffset, NoPrefetcher, Stms};
+    use voyager_prefetch::{BestOffset, NextLine, NoPrefetcher, Stms};
     use voyager_trace::gen::{Benchmark, GeneratorConfig};
 
     fn seq_trace(n: u64) -> Trace {
@@ -497,6 +497,30 @@ mod tests {
         // And a real baseline still yields a ratio.
         let real = simulate(&trace, &mut NoPrefetcher::new(), &cfg);
         assert_eq!(with.coverage_vs(&real), Some(0.0));
+    }
+
+    #[test]
+    fn drain_waits_for_the_latest_finishing_load() {
+        // A miss on line 0 issues ten next-line prefetches; the tenth
+        // (line 10) queues behind the other nine on the channel and
+        // arrives at cycle 330.25. A second miss, after a ROB stall on
+        // the first, finishes at 368.25. A third load hits line 10
+        // while it is still in flight: it finishes at 330.25 but was
+        // queued after the second miss, so the run must not end at the
+        // back of the queue.
+        let cfg = SimConfig::scaled();
+        let load = |line: u64, bubble: u8| MemoryAccess {
+            pc: 0x400000,
+            addr: line * 64,
+            bubble,
+        };
+        let trace = Trace::from_accesses("drain", vec![load(0, 0), load(1000, 200), load(10, 0)]);
+        let mut next_line = NextLine::new();
+        next_line.set_degree(10);
+        let out = simulate(&trace, &mut next_line, &cfg);
+        assert_eq!(out.rob_stalls, 1);
+        assert_eq!(out.late_prefetch_hits, 1);
+        assert_eq!(out.cycles, 368.25, "the second miss completes last");
     }
 
     #[test]

@@ -33,11 +33,9 @@ run cargo test -q -p voyager-tensor -p voyager-nn -p voyager-runtime \
 # The online loop's pins again on the scalar path: every tier must give
 # the same training and prediction bits end to end.
 run cargo test -q -p voyager --test online_pin --features voyager-tensor/force-scalar
-run cargo run --release -p voyager-bench --bin pr3_kernels -- --smoke
-run cargo run --release -p voyager-bench --bin pr5_infer -- --smoke
-run cargo run --release -p voyager-bench --bin pr6_table -- --smoke
-run cargo run --release -p voyager-bench --bin pr8_fleet -- --smoke
-run cargo run --release -p voyager-bench --bin pr10_vocab -- --smoke
+# The layered bench harness, every section at smoke sizes; writes
+# target/BENCH_layers.smoke.json and fails on any evaluated gate.
+run cargo run --release -p voyager-bench --bin layers -- --smoke
 
 # Observability smoke: the metrics dump must stay schema-valid JSON
 # (voyagerctl validates its own output and fails otherwise).
