@@ -8,7 +8,9 @@
 //!
 //! * [`Cache`] — set-associative LRU caches with per-line prefetch bits
 //!   and prefetch arrival times (late prefetches pay residual latency).
-//! * [`Hierarchy`] — the L1/L2/LLC stack plus a DRAM latency model.
+//! * [`Hierarchy`] — the LLC plus a DRAM latency model. L1 and L2 are
+//!   walked once per trace and cache geometry, and every run of that
+//!   trace shares the walk (prefetches never reach them).
 //! * [`SimConfig`] — [`SimConfig::paper`] carries the exact Table 3
 //!   parameters; [`SimConfig::scaled`] (the default) shrinks capacities
 //!   so that the scaled-down traces of this reproduction exercise the
