@@ -623,6 +623,7 @@ fn cmd_metrics(args: &[String]) -> CliResult {
         ("sim.prefetch.issued", outcome.issued_prefetches),
         ("sim.prefetch.useful", outcome.useful_prefetches),
         ("sim.prefetch.late_hits", outcome.late_prefetch_hits),
+        ("sim.prefetch.polluting", outcome.polluting_prefetches),
     ] {
         registry.counter(name).add(v);
     }
