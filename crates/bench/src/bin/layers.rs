@@ -1033,10 +1033,11 @@ fn zipf_batch(
     (batch, positives)
 }
 
-/// Mean training-step milliseconds for one (head, vocab) cell:
-/// `train_multi_sparse` over Zipf batches, after one warmup step. The
-/// dense head pays its `O(V)` multi-hot and logits inside the step,
-/// the hierarchical head only `O(clusters + positives * branch)`.
+/// Training-step milliseconds for one (head, vocab) cell:
+/// `train_multi_sparse` over Zipf batches, the best mean of three
+/// timed loops after one warmup step. The dense head pays its `O(V)`
+/// multi-hot and logits inside the step, the hierarchical head only
+/// `O(clusters + positives * branch)`.
 fn step_ms(head: OutputHead, mult: usize, steps: usize) -> f64 {
     let vocab = BASE_VOCAB * mult;
     let cfg = vocab_config(head);
@@ -1044,14 +1045,11 @@ fn step_ms(head: OutputHead, mult: usize, steps: usize) -> f64 {
     let zipf = ZipfSampler::new(vocab, 0.9);
     let mut rng = StdRng::seed_from_u64(0x10_0000 + mult as u64);
     let mut ot = Tensor2::zeros(BATCH, 64);
-    let (b, p) = zipf_batch(&zipf, &mut rng, cfg.seq_len, &mut ot);
-    model.train_multi_sparse(&b, &p, &ot); // warmup (arena + caches)
-    let start = Instant::now();
-    for _ in 0..steps {
+    let secs = best_of_3(steps, || {
         let (b, p) = zipf_batch(&zipf, &mut rng, cfg.seq_len, &mut ot);
         std::hint::black_box(model.train_multi_sparse(&b, &p, &ot));
-    }
-    start.elapsed().as_secs_f64() * 1e3 / steps as f64
+    });
+    secs * 1e3
 }
 
 /// Dense-vs-hier top-1 (page, offset) agreement after training both
