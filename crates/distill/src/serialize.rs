@@ -23,7 +23,7 @@
 
 use std::io::{self, Read, Write};
 
-use crate::table::{DistilledTables, OwnedRawTables, TableConfig};
+use crate::table::{DistilledTables, OwnedRawTables, TableConfig, MAX_TOPK};
 
 const MAGIC: &[u8; 4] = b"VDT1";
 const VERSION: u32 = 1;
@@ -149,6 +149,9 @@ pub fn load_tables<R: Read>(mut reader: R) -> Result<DistilledTables, TableIoErr
     let distill_batch = read_u32(&mut reader)? as usize;
     if history == 0 || page_topk == 0 || offset_topk == 0 || distill_batch == 0 {
         return Err(TableIoError::Corrupt("zero geometry field"));
+    }
+    if page_topk > MAX_TOPK || offset_topk > MAX_TOPK {
+        return Err(TableIoError::Corrupt("top-k width above 16"));
     }
     if page_buckets_log2 > 28 || offset_buckets_log2 > 28 {
         return Err(TableIoError::Corrupt("bucket exponent too large"));
@@ -288,6 +291,12 @@ mod tests {
         assert!(matches!(
             load_tables(zeroed.as_slice()).unwrap_err(),
             TableIoError::Corrupt(_)
+        ));
+        let mut wide = buf.clone();
+        wide[12..16].copy_from_slice(&17u32.to_le_bytes()); // page_topk
+        assert!(matches!(
+            load_tables(wide.as_slice()).unwrap_err(),
+            TableIoError::Corrupt("top-k width above 16")
         ));
     }
 }
