@@ -39,7 +39,8 @@ use std::time::{Duration, Instant};
 
 use voyager::{hier_shape, OutputHead, SeqBatch, VoyagerConfig, VoyagerModel};
 use voyager_bench::load::{
-    best_of_3, drive_fleet, p50, serve_closed_loop, synthetic_request, FleetLoad,
+    best_of_3, best_of_3_interleaved, drive_fleet, p50, serve_closed_loop, synthetic_request,
+    FleetLoad,
 };
 use voyager_bench::{fleet_demo, mode_name};
 use voyager_distill::{distill, DistillReport, DistilledTables, TableConfig};
@@ -1033,23 +1034,21 @@ fn zipf_batch(
     (batch, positives)
 }
 
-/// Training-step milliseconds for one (head, vocab) cell:
-/// `train_multi_sparse` over Zipf batches, the best mean of three
-/// timed loops after one warmup step. The dense head pays its `O(V)`
-/// multi-hot and logits inside the step, the hierarchical head only
-/// `O(clusters + positives * branch)`.
-fn step_ms(head: OutputHead, mult: usize, steps: usize) -> f64 {
+/// One training step of a (head, vocab) cell per call:
+/// `train_multi_sparse` on a fresh model over Zipf batches. The dense
+/// head pays its `O(V)` multi-hot and logits inside the step, the
+/// hierarchical head only `O(clusters + positives * branch)`.
+fn step_cell(head: OutputHead, mult: usize) -> impl FnMut() {
     let vocab = BASE_VOCAB * mult;
     let cfg = vocab_config(head);
     let mut model = VoyagerModel::new(&cfg, 64, vocab, 64);
     let zipf = ZipfSampler::new(vocab, 0.9);
     let mut rng = StdRng::seed_from_u64(0x10_0000 + mult as u64);
     let mut ot = Tensor2::zeros(BATCH, 64);
-    let secs = best_of_3(steps, || {
+    move || {
         let (b, p) = zipf_batch(&zipf, &mut rng, cfg.seq_len, &mut ot);
         std::hint::black_box(model.train_multi_sparse(&b, &p, &ot));
-    });
-    secs * 1e3
+    }
 }
 
 /// Dense-vs-hier top-1 (page, offset) agreement after training both
@@ -1087,15 +1086,29 @@ fn vocab_section(smoke: bool, gates: &mut Vec<Gate>) -> Json {
     let (steps, requests) = if smoke { (2, 32) } else { (8, 512) };
     let (packed_b, arena) = (Delta::start(PACKED_B_CACHE), Delta::start(ARENA));
     let agreement = head_agreement();
-    // The dense 100x cell is skipped by design: its O(V) per-step cost
-    // (multi-hot targets, logits, head gradients, Adam moments over a
-    // [64, 409600] head) is the problem the hierarchical head removes.
-    let cells: Vec<(OutputHead, usize, f64)> = [(OutputHead::Dense, 1), (OutputHead::Dense, 10)]
-        .into_iter()
-        .chain([1, 10, 100].map(|mult| (OutputHead::Hier, mult)))
-        .map(|(head, mult)| (head, mult, step_ms(head, mult, steps)))
-        .collect();
-    let step_ratio = cells[4].2 / cells[0].2;
+    // Step milliseconds, each cell's best mean of three timed loops
+    // after one warmup step. The gate divides hier-100x by dense-1x, so
+    // those two are timed in interleaved rounds. The dense 100x cell
+    // is skipped by design: its O(V) per-step cost (multi-hot targets,
+    // logits, head gradients, Adam moments over a [64, 409600] head) is
+    // the problem the hierarchical head removes.
+    let [dense_1x, hier_100x] = best_of_3_interleaved(
+        steps,
+        [
+            &mut step_cell(OutputHead::Dense, 1),
+            &mut step_cell(OutputHead::Hier, 100),
+        ],
+    );
+    let alone = |head, mult| best_of_3(steps, step_cell(head, mult));
+    let cells = [
+        (OutputHead::Dense, 1, dense_1x),
+        (OutputHead::Dense, 10, alone(OutputHead::Dense, 10)),
+        (OutputHead::Hier, 1, alone(OutputHead::Hier, 1)),
+        (OutputHead::Hier, 10, alone(OutputHead::Hier, 10)),
+        (OutputHead::Hier, 100, hier_100x),
+    ]
+    .map(|(head, mult, secs)| (head, mult, secs * 1e3));
+    let step_ratio = hier_100x / dense_1x;
     let dense_p50 = serve_int8_p50(OutputHead::Dense, 1, requests);
     let hier_p50 = serve_int8_p50(OutputHead::Hier, 100, requests);
     let serve_ratio = if dense_p50 > 0.0 {

@@ -1,7 +1,7 @@
 //! Load drivers and timers shared by the `layers` bench harness and
 //! `voyagerctl`: a closed-loop microbatch driver, a closed-loop fleet
 //! driver with an optional mid-run action, the synthetic request
-//! stream, a best-of-3 timer and a nearest-rank median.
+//! stream, best-of-3 timers and a nearest-rank median.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -20,14 +20,31 @@ use crate::fleet_demo;
 /// mean over one batch folds every context switch into the number,
 /// which made repeated runs on shared vCPUs disagree by 2x).
 pub fn best_of_3(iters: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
+    let [best] = best_of_3_interleaved(iters, [&mut f]);
+    best
+}
+
+/// [`best_of_3`] for workloads that are compared with each other:
+/// one warmup call each, then three rounds of one timed loop per
+/// workload, each keeping its best mean. A slow spell of a shared host
+/// then falls on a round of every workload, not on whichever workload
+/// happened to be timed during it.
+pub fn best_of_3_interleaved<const N: usize>(
+    iters: usize,
+    mut fs: [&mut dyn FnMut(); N],
+) -> [f64; N] {
+    for f in fs.iter_mut() {
+        f();
+    }
+    let mut best = [f64::INFINITY; N];
     for _ in 0..3 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
+        for (f, best) in fs.iter_mut().zip(&mut best) {
+            let start = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            *best = best.min(start.elapsed().as_secs_f64() / iters as f64);
         }
-        best = best.min(start.elapsed().as_secs_f64() / iters as f64);
     }
     best
 }
