@@ -6,8 +6,9 @@
 //! affine [`QuantizedTensor`] scheme and kept as `i8` codes;
 //! activations are quantized per row on the fly
 //! ([`voyager_tensor::infer::quantize_rows_into`], symmetric, no zero
-//! point); the matmul itself is the
-//! [`gemm_i8`](voyager_tensor::kernels::gemm_i8) `i8×i8→i32` kernel.
+//! point); the matmul itself is the one int8 kernel,
+//! [`gemm_i8_dequant`](voyager_tensor::kernels::gemm_i8_dequant),
+//! which accumulates `i8×i8→i32` and dequantizes in the same pass.
 //!
 //! Dequantization folds the weight zero point out of the integer
 //! accumulator using the cached per-row activation sums: with
@@ -19,12 +20,11 @@
 //! ```
 //!
 //! and the whole thing — integer GEMM plus scale-and-correct
-//! epilogue — is one call into
-//! [`gemm_i8_dequant`](voyager_tensor::kernels::gemm_i8_dequant). On
-//! SIMD tiers the i32 accumulators never leave registers, so the
-//! `m × n` i32 scratch buffer the old unfused sequence carried is
-//! gone entirely. Output buffers are caller-provided and reused
-//! across calls; the steady state performs no heap allocation.
+//! epilogue — is one kernel call. On SIMD tiers the i32 accumulators
+//! never leave registers, and the scalar tier keeps one `n`-length
+//! i32 strip, so no `m × n` i32 scratch buffer exists. Output buffers
+//! are caller-provided and reused across calls; the steady state
+//! performs no heap allocation.
 
 use voyager_tensor::infer::{add_row_inplace, QuantizedRows};
 use voyager_tensor::kernels::gemm_i8_dequant;

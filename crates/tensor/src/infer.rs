@@ -18,7 +18,7 @@
 //!   identical to the tape forward.
 //! * [`QuantizedRows`] / [`quantize_rows_into`] — per-row symmetric
 //!   int8 activation quantization feeding the
-//!   [`gemm_i8`](crate::kernels::gemm_i8) kernel.
+//!   [`gemm_i8_dequant`](crate::kernels::gemm_i8_dequant) kernel.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,33 +1,35 @@
-//! Runtime CPU dispatch for the SIMD micro-kernels.
+//! Runtime CPU dispatch for the GEMM micro-kernels.
 //!
-//! The blocked GEMM in [`kernels`](crate::kernels) picks an
+//! The GEMM entry points in [`kernels`](crate::kernels) pick an
 //! instruction-set tier **once** per process via [`Isa`] detection
 //! (`is_x86_feature_detected!` on x86-64, baseline NEON on aarch64)
-//! and routes every kernel invocation through it. The scalar blocked
-//! path remains as the portable fallback and as the golden reference
-//! the SIMD tiers are tested against.
+//! and route every kernel invocation through it. Two drivers serve
+//! the four tiers: the x86 tiers read their operands in place
+//! (`gemm_rows_in_place`), and NEON and the portable scalar tier pack
+//! them into panels first (`gemm_rows_packed`). The value
+//! reference every tier is tested against is
+//! [`naive_gemm`](crate::kernels::naive_gemm).
 //!
 //! # Bitwise identity across tiers
 //!
 //! Every tier — scalar, AVX2/FMA, AVX-512, NEON — accumulates each
 //! output element over the reduction index `p` in strictly increasing
 //! order using *fused* multiply-adds (`f32::mul_add` in the scalar
-//! reference, `vfmadd`/`fmla` in the vector kernels). An IEEE-754
-//! fused multiply-add is correctly rounded, so the same sequence of
-//! fmas produces the same bits on every CPU; the tiers differ only in
-//! *how many elements* advance per instruction, never in the
-//! per-element arithmetic. Golden tests in `kernels` assert this
-//! bitwise agreement for every layout and tail shape.
+//! tile and the naive reference, `vfmadd`/`fmla` in the vector
+//! kernels). An IEEE-754 fused multiply-add is correctly rounded, so
+//! the same sequence of fmas produces the same bits on every CPU; the
+//! tiers differ only in *how many elements* advance per instruction,
+//! never in the per-element arithmetic. Golden tests in `kernels`
+//! assert this bitwise agreement for every layout and tail shape.
 //!
-//! # Forcing the scalar path
+//! # Forcing the scalar tier
 //!
-//! The scalar blocked path is the one golden reference, with two
-//! switches:
+//! The portable scalar tier has two switches:
 //!
 //! * [`set_force_scalar`] — a runtime toggle used by benchmarks and
 //!   the golden tests to compare tiers through unmodified call sites.
 //! * The `force-scalar` cargo feature — a compile-time kill switch CI
-//!   uses to run the whole test suite over the fallback path.
+//!   uses to run whole test suites over the portable tier.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -48,7 +50,8 @@ pub(crate) mod x86;
 /// `0 = scalar`, `1 = avx2`, `2 = avx512`, `3 = neon`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Isa {
-    /// Portable scalar blocked kernels (the golden reference).
+    /// Portable 8 × 8 register tile (`f32::mul_add`), driven through
+    /// the packing driver NEON uses.
     Scalar,
     /// AVX2 + FMA: 8-lane f32 tiles, 16-lane i8→i16 widening dots.
     Avx2,
@@ -84,35 +87,35 @@ impl Isa {
     /// tile-independent), only throughput.
     pub(crate) fn tile_dims(self) -> (usize, usize) {
         match self {
-            Isa::Scalar => (crate::kernels::MR, crate::kernels::NR),
+            Isa::Scalar => (8, 8),
+            Isa::Neon => (4, 8),
             Isa::Avx2 => (6, 16),
             Isa::Avx512 => (8, 32),
-            Isa::Neon => (4, 8),
         }
     }
 }
 
-/// When set, all kernel entry points route to the scalar blocked path
+/// When set, all kernel entry points route to the scalar tier
 /// regardless of detected CPU features. Results are bitwise-identical
 /// either way; this exists for benchmarks and golden tests.
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
-/// Routes all subsequent kernel calls through the scalar blocked path
+/// Routes all subsequent kernel calls through the scalar tier
 /// (`true`) or the detected SIMD tier (`false`); see the module docs
 /// for the identity contract.
 pub fn set_force_scalar(force: bool) {
     FORCE_SCALAR.store(force, Ordering::Relaxed);
 }
 
-/// Returns whether the scalar blocked path is currently forced.
+/// Returns whether the scalar tier is currently forced.
 pub fn force_scalar() -> bool {
     FORCE_SCALAR.load(Ordering::Relaxed)
 }
 
 /// Cached hardware probe: the best available tier plus whether the
 /// host has a hardware FMA unit (used to pick the fast compiled copy
-/// of the *scalar* kernels — same arithmetic, same bits, no libm
-/// round trip per element).
+/// of the scalar tile and the naive reference — same arithmetic, same
+/// bits, no libm round trip per element).
 static DETECTED: OnceLock<(Isa, bool)> = OnceLock::new();
 
 #[cfg(target_arch = "x86_64")]
@@ -135,29 +138,14 @@ fn detect_hw() -> (Isa, bool) {
 }
 
 fn detection() -> (Isa, bool) {
-    if cfg!(feature = "force-scalar") {
-        // Compile-time kill switch: pretend the host has nothing. The
-        // scalar path may still use the FMA-compiled copy — identical
-        // bits, it only skips the libm fma round trip per element.
-        return *DETECTED.get_or_init(detect_hw_fma_only);
-    }
-    *DETECTED.get_or_init(detect_hw)
-}
-
-#[cfg(all(target_arch = "x86_64", feature = "force-scalar"))]
-fn detect_hw_fma_only() -> (Isa, bool) {
-    (Isa::Scalar, is_x86_feature_detected!("fma"))
-}
-
-#[cfg(all(not(target_arch = "x86_64"), feature = "force-scalar"))]
-fn detect_hw_fma_only() -> (Isa, bool) {
-    (Isa::Scalar, false)
-}
-
-#[cfg(not(feature = "force-scalar"))]
-#[allow(dead_code)]
-fn detect_hw_fma_only() -> (Isa, bool) {
-    (Isa::Scalar, false)
+    *DETECTED.get_or_init(|| match detect_hw() {
+        // Compile-time kill switch: pretend the host has no vector
+        // tier. The scalar tier still uses the FMA-compiled copies —
+        // identical bits, they only skip the libm fma round trip per
+        // element.
+        (_, fma) if cfg!(feature = "force-scalar") => (Isa::Scalar, fma),
+        hw => hw,
+    })
 }
 
 /// The tier the kernels will actually use for the next call: the
@@ -180,7 +168,8 @@ pub fn detected_isa() -> Isa {
 }
 
 /// Whether the host has a hardware FMA unit (drives the choice of
-/// compiled copy for the scalar kernels on x86-64).
+/// compiled copy for the scalar tile and the naive reference on
+/// x86-64).
 pub(crate) fn fma_available() -> bool {
     detection().1
 }
@@ -221,17 +210,16 @@ pub(crate) fn supports(isa: Isa) -> bool {
     }
 }
 
-/// GEMM driver shared by every SIMD tier: computes rows
-/// `rows.start..rows.end` of the output into `out_rows` (row `i` lives
-/// at `(i - rows.start) * n`), matching the `gemm_rows` contract used
-/// by `par_gemm`.
+/// The GEMM entry of every tier: computes rows `rows.start..rows.end`
+/// of the output into `out_rows` (row `i` lives at
+/// `(i - rows.start) * n`), matching the `gemm_rows` contract used by
+/// `par_gemm`.
 ///
-/// The x86 tiers read A and B in place; NEON, and the portable packed
-/// tile the tests drive with [`Isa::Scalar`], pack both first (see
-/// [`gemm_rows_packed`]). `b_version` is the B operand's content-version
-/// stamp (`Tensor2::version`), or `0` for unversioned slice operands;
-/// it lets a driver that packs B serve the panels from the packed-B
-/// cache (see [`pack::cached_b`]).
+/// The x86 tiers read A and B in place; NEON and the scalar tier pack
+/// both first (see [`gemm_rows_packed`]). `b_version` is the B
+/// operand's content-version stamp (`Tensor2::version`), or `0` for
+/// unversioned slice operands; it lets a driver that packs B serve the
+/// panels from the packed-B cache (see [`pack::cached_b`]).
 ///
 /// # Panics
 ///
@@ -352,7 +340,7 @@ fn gemm_rows_in_place(
 }
 
 /// Packed-panel GEMM driver, for the tiers that do not read operands
-/// in place (NEON, and the portable packed tile). Packs B into NR-wide
+/// in place (NEON and the scalar tier). Packs B into NR-wide
 /// panels once for the whole call (or takes them from the packed-B
 /// cache) and each MR-row block of A once per block, then sweeps the
 /// layout-blind register tile over the panels with the same group
@@ -387,78 +375,110 @@ fn gemm_rows_packed(
             }
         };
         pack::pack_a(a, layout, m, k, rows.clone(), mrw, sa);
-        let blocks = rows.len().div_ceil(mrw);
-        let panels = n.div_ceil(nrw);
-        let panel_a = k * mrw;
-        let group = (GROUP_A_BYTES / (panel_a * size_of::<f32>())).max(1);
-        let mut g0 = 0;
-        while g0 < blocks {
-            let g1 = (g0 + group).min(blocks);
-            for t in 0..panels {
-                let j = t * nrw;
-                let nr = nrw.min(n - j);
-                let bpanel = &sb[t * k * nrw..(t + 1) * k * nrw];
-                for bi in g0..g1 {
-                    let i = rows.start + bi * mrw;
-                    let mr = mrw.min(rows.end - i);
-                    let apanel = &sa[bi * panel_a..(bi + 1) * panel_a];
-                    dispatch_tile(
-                        isa,
-                        apanel,
-                        bpanel,
-                        k,
-                        out_rows,
-                        i - rows.start,
-                        mr,
-                        j,
-                        n,
-                        nr,
-                        acc,
-                    );
-                }
-            }
-            g0 = g1;
-        }
+        sweep_packed(isa, sa, sb, k, n, rows.len(), out_rows, acc);
     });
 }
 
-/// Routes one packed register tile to the tier's micro-kernel.
+/// Sweeps the tier's register tile over packed panels: `sa` holds the
+/// `[p][MR]` row blocks of the output's `rows` rows, `sb` the
+/// `[p][NR]` column panels of B. On x86-64 hosts with an FMA unit the
+/// scalar tier runs a copy of the sweep compiled with the `fma` target
+/// feature, its tile inlined, so no element pays a libm `fmaf` call.
+/// Both copies compile the same `f32::mul_add` source, so the bits
+/// never depend on which copy ran. The copy must hold the tile: the
+/// driver sweeps inside `pack::with_scratch`'s closure, which a
+/// target-feature wrapper around the driver would not reach.
 #[allow(clippy::too_many_arguments)]
-fn dispatch_tile(
+fn sweep_packed(
     isa: Isa,
-    ap: &[f32],
-    bp: &[f32],
+    sa: &[f32],
+    sb: &[f32],
     k: usize,
-    out: &mut [f32],
-    r0: usize,
-    mr: usize,
-    j0: usize,
     n: usize,
-    nr: usize,
+    rows: usize,
+    out_rows: &mut [f32],
     acc: bool,
 ) {
-    match isa {
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => neon::tile_f32(ap, bp, k, out, r0, mr, j0, n, nr, acc),
-        // Scalar never reaches here in production (kernels route it to
-        // the unpacked blocked path first), but the packed scalar tile
-        // keeps dispatch total on every architecture and lets tests
-        // exercise the packing in isolation.
-        _ => {
-            let (mrw, nrw) = isa.tile_dims();
-            tile_f32_scalar_packed(ap, bp, mrw, nrw, k, out, r0, mr, j0, n, nr, acc);
+    #[cfg(target_arch = "x86_64")]
+    if isa == Isa::Scalar && fma_available() {
+        // SAFETY: `fma_available` is true only after
+        // `is_x86_feature_detected!("fma")` succeeded on this CPU, so
+        // the target-feature contract of the copy holds.
+        unsafe { sweep_packed_fma(sa, sb, k, n, rows, out_rows, acc) };
+        return;
+    }
+    sweep_packed_body(isa, sa, sb, k, n, rows, out_rows, acc);
+}
+
+/// The scalar tier's sweep compiled with the `fma` target feature —
+/// see [`sweep_packed`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+fn sweep_packed_fma(
+    sa: &[f32],
+    sb: &[f32],
+    k: usize,
+    n: usize,
+    rows: usize,
+    out_rows: &mut [f32],
+    acc: bool,
+) {
+    sweep_packed_body(Isa::Scalar, sa, sb, k, n, rows, out_rows, acc);
+}
+
+/// [`sweep_packed`]'s loops, with the same group blocking as the x86
+/// driver: groups of row blocks (~256 KB of A) sweep each B panel in
+/// turn.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn sweep_packed_body(
+    isa: Isa,
+    sa: &[f32],
+    sb: &[f32],
+    k: usize,
+    n: usize,
+    rows: usize,
+    out_rows: &mut [f32],
+    acc: bool,
+) {
+    let (mrw, nrw) = isa.tile_dims();
+    let blocks = rows.div_ceil(mrw);
+    let panel_a = k * mrw;
+    let group = (GROUP_A_BYTES / (panel_a * size_of::<f32>())).max(1);
+    for g0 in (0..blocks).step_by(group) {
+        let g1 = (g0 + group).min(blocks);
+        for t in 0..n.div_ceil(nrw) {
+            let j = t * nrw;
+            let nr = nrw.min(n - j);
+            let bpanel = &sb[t * k * nrw..(t + 1) * k * nrw];
+            for bi in g0..g1 {
+                let r0 = bi * mrw;
+                let mr = mrw.min(rows - r0);
+                let apanel = &sa[bi * panel_a..(bi + 1) * panel_a];
+                match isa {
+                    #[cfg(target_arch = "aarch64")]
+                    Isa::Neon => neon::tile_f32(apanel, bpanel, k, out_rows, r0, mr, j, n, nr, acc),
+                    // `gemm_rows_simd` routes only Scalar and NEON here.
+                    _ => tile_f32_portable(apanel, bpanel, k, out_rows, r0, mr, j, n, nr, acc),
+                }
+            }
         }
     }
 }
 
-/// Portable packed register tile: same panel format and fma
-/// accumulation chain as the vector tiles, one element at a time.
+/// Portable packed register tile: MR = 8 rows × NR = 8 columns over
+/// `[k][8]` A and B panels, the same panel format, store clipping and
+/// fma chain as the NEON tile, one element at a time. A full tile runs
+/// fixed trip counts, so its 64 accumulators stay in eight vector
+/// registers: eight independent fma chains, enough to cover the fma
+/// latency (four rows leave the chains latency-bound at half the fma
+/// throughput). An edge tile accumulates only its `mr × nr` real
+/// elements.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn tile_f32_scalar_packed(
+fn tile_f32_portable(
     ap: &[f32],
     bp: &[f32],
-    mrw: usize,
-    nrw: usize,
     k: usize,
     out: &mut [f32],
     r0: usize,
@@ -468,17 +488,41 @@ pub(crate) fn tile_f32_scalar_packed(
     nr: usize,
     acc: bool,
 ) {
-    debug_assert!(mr <= mrw && nr <= nrw && mrw * nrw <= 8 * 32);
-    let mut spill = [0.0f32; 8 * 32];
-    for (bs, av) in bp.chunks_exact(nrw).zip(ap.chunks_exact(mrw)).take(k) {
-        for (r, &x) in av.iter().enumerate().take(mr) {
-            let row = &mut spill[r * nrw..r * nrw + nr];
-            for (d, &bv) in row.iter_mut().zip(bs) {
-                *d = x.mul_add(bv, *d);
+    let panels = bp.chunks_exact(8).zip(ap.chunks_exact(8)).take(k);
+    let mut c = [[0.0f32; 8]; 8];
+    if mr == 8 && nr == 8 {
+        // One named accumulator row per A row: with the rows of one
+        // array, the vectoriser shuffles lanes across rows instead of
+        // issuing one 8-wide fma per row.
+        let [mut t0, mut t1, mut t2, mut t3, mut t4, mut t5, mut t6, mut t7] = c;
+        for (bs, av) in panels {
+            let (x0, x1, x2, x3) = (av[0], av[1], av[2], av[3]);
+            let (x4, x5, x6, x7) = (av[4], av[5], av[6], av[7]);
+            for (j, &bv) in bs.iter().enumerate() {
+                t0[j] = x0.mul_add(bv, t0[j]);
+                t1[j] = x1.mul_add(bv, t1[j]);
+                t2[j] = x2.mul_add(bv, t2[j]);
+                t3[j] = x3.mul_add(bv, t3[j]);
+                t4[j] = x4.mul_add(bv, t4[j]);
+                t5[j] = x5.mul_add(bv, t5[j]);
+                t6[j] = x6.mul_add(bv, t6[j]);
+                t7[j] = x7.mul_add(bv, t7[j]);
             }
         }
+        // Literal extents: the inlined store moves whole rows instead
+        // of calling `memcpy` per row.
+        let t = [t0, t1, t2, t3, t4, t5, t6, t7];
+        store_clipped(t.as_flattened(), 8, out, r0, 8, j0, n, 8, acc);
+    } else {
+        for (bs, av) in panels {
+            for (cr, &x) in c.iter_mut().zip(&av[..mr]) {
+                for (d, &bv) in cr[..nr].iter_mut().zip(bs) {
+                    *d = x.mul_add(bv, *d);
+                }
+            }
+        }
+        store_clipped(c.as_flattened(), 8, out, r0, mr, j0, n, nr, acc);
     }
-    store_clipped(&spill, nrw, out, r0, mr, j0, n, nr, acc);
 }
 
 /// Copies (or adds, for `gemm_acc`) an `mr × nr` register tile from
@@ -510,55 +554,8 @@ pub(crate) fn store_clipped(
     }
 }
 
-/// Runs the scalar blocked kernel through its fastest compiled copy:
-/// the `fma`-target-feature clone on x86-64 hosts with an FMA unit
-/// (no libm `fmaf` round trip per element), the plain build
-/// elsewhere. Both compile the identical `f32::mul_add` source, so
-/// the bits never depend on which copy ran.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_scalar_blocked(
-    a: &[f32],
-    b: &[f32],
-    layout: Layout,
-    m: usize,
-    n: usize,
-    k: usize,
-    rows: Range<usize>,
-    out_rows: &mut [f32],
-    acc: bool,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: `fma_available` is true only after
-        // `is_x86_feature_detected!("fma")` succeeded on this CPU, so
-        // the target-feature contract of the clone holds.
-        unsafe { blocked_rows_fma(a, b, layout, m, n, k, rows.clone(), out_rows, acc) };
-        return;
-    }
-    crate::kernels::blocked_rows_body(a, b, layout, m, n, k, rows, out_rows, acc);
-}
-
-/// The scalar blocked kernel body compiled with the `fma` target
-/// feature — see [`run_scalar_blocked`].
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "fma")]
-fn blocked_rows_fma(
-    a: &[f32],
-    b: &[f32],
-    layout: Layout,
-    m: usize,
-    n: usize,
-    k: usize,
-    rows: Range<usize>,
-    out_rows: &mut [f32],
-    acc: bool,
-) {
-    crate::kernels::blocked_rows_body(a, b, layout, m, n, k, rows, out_rows, acc);
-}
-
 /// Runs the naive reference kernel through its fastest compiled copy;
-/// same dual-compilation story as [`run_scalar_blocked`].
+/// same dual-compilation story as [`sweep_packed`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_naive(
     a: &[f32],
@@ -666,40 +663,12 @@ fn lstm_bptt_step_avx512(
     crate::tape::lstm_bptt_step_body(gates, c, c_prev, dh, dc, dpre, hidden);
 }
 
-/// Runs the active SIMD tier's int8 kernel, or returns `false` when
-/// the scalar path is active (the caller then runs the portable AXPY
-/// reference). Kept here so `unsafe` dispatch stays inside this
-/// module.
-pub(crate) fn try_gemm_i8(
-    a: &[i8],
-    b: &[i8],
-    m: usize,
-    n: usize,
-    k: usize,
-    out: &mut [i32],
-) -> bool {
-    match active_isa() {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 | Isa::Avx512 => {
-            // SAFETY: Avx2/Avx512 are selected only after
-            // `is_x86_feature_detected!("avx2")` succeeded on this CPU
-            // (see `detect_hw`), satisfying the kernel's target feature.
-            unsafe { x86::gemm_i8(a, b, m, n, k, out) };
-            true
-        }
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => {
-            neon::gemm_i8(a, b, m, n, k, out);
-            true
-        }
-        _ => false,
-    }
-}
-
 /// Runs the active SIMD tier's fused int8-dequant kernel, or returns
-/// `false` when the scalar path is active. See [`try_gemm_i8`].
+/// `false` when the scalar tier is active (the caller then runs the
+/// portable AXPY reference). Kept here so `unsafe` dispatch stays
+/// inside this module.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn try_gemm_i8_dequant(
+pub(crate) fn gemm_i8_dequant_vector(
     a: &[i8],
     b: &[i8],
     m: usize,
@@ -860,6 +829,39 @@ mod tests {
             };
             for (got, want) in run_bptt(false).iter().zip(&run_bptt(true)) {
                 assert_same_bits(got, want, &format!("BPTT step {ctx}"));
+            }
+        }
+    }
+
+    #[test]
+    fn portable_tile_copies_are_bitwise_identical() {
+        // The plain copy runs only on hosts without FMA, so compare it
+        // here with the copy the dispatch picks on this host, over
+        // every tail class of the 8 × 8 tile: full tiles, short row
+        // blocks, narrow panels, both, and depth 1.
+        for (t, &(rows, n, k)) in [
+            (8usize, 8usize, 1usize),
+            (8, 8, 13),
+            (5, 8, 5),
+            (8, 5, 7),
+            (1, 1, 1),
+            (2, 7, 1),
+            (7, 13, 9),
+            (17, 17, 3),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let seed = 700 + 10 * t as u64;
+            let sa = gate_inputs(rows.div_ceil(8) * k * 8, seed);
+            let sb = gate_inputs(n.div_ceil(8) * k * 8, seed + 1);
+            for acc in [false, true] {
+                let base = gate_inputs(rows * n, seed + 2);
+                let (mut plain, mut picked) = (base.clone(), base);
+                sweep_packed_body(Isa::Scalar, &sa, &sb, k, n, rows, &mut plain, acc);
+                sweep_packed(Isa::Scalar, &sa, &sb, k, n, rows, &mut picked, acc);
+                let ctx = format!("{rows}x{n} k={k} acc={acc} fma={}", fma_available());
+                assert_same_bits(&picked, &plain, &ctx);
             }
         }
     }

@@ -16,8 +16,7 @@
 use super::store_clipped;
 use std::arch::aarch64::{
     int32x4_t, vaddq_f32, vcvtq_f32_s32, vdupq_n_f32, vdupq_n_s32, vfmaq_n_f32, vget_high_s16,
-    vget_low_s16, vld1_s8, vld1q_f32, vmlal_n_s16, vmovl_s8, vmulq_n_f32, vst1q_f32, vst1q_s32,
-    vsubq_s32,
+    vget_low_s16, vld1_s8, vld1q_f32, vmlal_n_s16, vmovl_s8, vmulq_n_f32, vst1q_f32, vsubq_s32,
 };
 
 /// NEON f32 register tile: MR = 4 rows × NR = 8 columns in eight
@@ -95,31 +94,6 @@ fn i8_strip(a_row: &[i8], b: &[i8], n: usize, j: usize) -> (int32x4_t, int32x4_t
         acc1 = vmlal_n_s16(acc1, vget_high_s16(wide), cv as i16);
     }
     (acc0, acc1)
-}
-
-/// NEON int8 GEMM: 8 columns per strip with a scalar column tail.
-/// Exact integer arithmetic, bitwise-identical to the scalar
-/// reference (the caller enforces the `MAX_GEMM_I8_K` bound).
-pub(crate) fn gemm_i8(a: &[i8], b: &[i8], m: usize, n: usize, k: usize, out: &mut [i32]) {
-    let nb = n - n % 8;
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j < nb {
-            let (acc0, acc1) = i8_strip(a_row, b, n, j);
-            // SAFETY: `j + 8 <= nb <= n`, so both 4-lane i32 stores
-            // land inside `orow` (length n).
-            unsafe {
-                vst1q_s32(orow.as_mut_ptr().add(j), acc0);
-                vst1q_s32(orow.as_mut_ptr().add(j + 4), acc1);
-            }
-            j += 8;
-        }
-        for (j, o) in orow.iter_mut().enumerate().skip(nb) {
-            *o = super::i8_dot_col(a_row, b, n, j);
-        }
-    }
 }
 
 /// NEON int8 GEMM with the dequantization epilogue fused into the

@@ -1,5 +1,5 @@
 //! x86-64 micro-kernels: AVX2/FMA and AVX-512F register tiles for
-//! f32 GEMM, plus AVX2 widening kernels for the int8 path.
+//! f32 GEMM, plus the AVX2 widening kernel for the int8 path.
 //!
 //! Every function here is a safe `#[target_feature]` function: the
 //! arithmetic intrinsics are safe to use once the feature is enabled,
@@ -17,9 +17,9 @@
 //!
 //! Identity contract: the f32 tiles accumulate each output element
 //! over `p` in ascending order with `vfmadd` — the same correctly
-//! rounded fused multiply-add the scalar reference performs with
-//! `f32::mul_add` — so results are bitwise-identical to the scalar
-//! path. The int8 kernels are exact integer arithmetic (|i8·i8| ≤
+//! rounded fused multiply-add the scalar tile and the naive reference
+//! perform with `f32::mul_add` — so results are bitwise-identical to
+//! theirs. The int8 kernel is exact integer arithmetic (|i8·i8| ≤
 //! 16384 fits i16; see `MAX_GEMM_I8_K` for the i32 bound).
 
 use super::store_clipped;
@@ -28,9 +28,9 @@ use std::arch::x86_64::{
     _mm256_cvtepi16_epi32, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi16, _mm256_extracti128_si256,
     _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_maskload_ps, _mm256_mul_ps, _mm256_mullo_epi16,
     _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps,
-    _mm256_setzero_si256, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_epi32, _mm512_add_ps,
-    _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
-    _mm512_storeu_ps, _mm_loadu_si128,
+    _mm256_setzero_si256, _mm256_storeu_ps, _mm256_sub_epi32, _mm512_add_ps, _mm512_fmadd_ps,
+    _mm512_loadu_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+    _mm_loadu_si128,
 };
 
 /// Where a register tile reads its operands, in place.
@@ -311,33 +311,6 @@ fn i8_strip(a_row: &[i8], b: &[i8], n: usize, j: usize) -> (__m256i, __m256i) {
         );
     }
     (acc0, acc1)
-}
-
-/// AVX2 int8 GEMM: `out[i][j] = Σ_p a[i][p] · b[p][j]` in i32, 16
-/// columns per strip with a scalar column tail. Integer arithmetic is
-/// exact, so this matches the scalar reference bit-for-bit (the
-/// caller enforces the `MAX_GEMM_I8_K` overflow bound).
-#[target_feature(enable = "avx2")]
-pub(crate) fn gemm_i8(a: &[i8], b: &[i8], m: usize, n: usize, k: usize, out: &mut [i32]) {
-    let nb = n - n % 16;
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j < nb {
-            let (acc0, acc1) = i8_strip(a_row, b, n, j);
-            // SAFETY: `j + 16 <= nb <= n`, so both 8-lane i32 stores
-            // land inside `orow` (length n).
-            unsafe {
-                _mm256_storeu_si256(orow.as_mut_ptr().add(j).cast(), acc0);
-                _mm256_storeu_si256(orow.as_mut_ptr().add(j + 8).cast(), acc1);
-            }
-            j += 16;
-        }
-        for (j, o) in orow.iter_mut().enumerate().skip(nb) {
-            *o = super::i8_dot_col(a_row, b, n, j);
-        }
-    }
 }
 
 /// AVX2 int8 GEMM with the dequantization epilogue fused into the
