@@ -1,7 +1,7 @@
 //! The data-parallel trainer's core contract: for a fixed seed, the
 //! worker count changes wall-clock time, never results.
 
-use voyager::{TrainingSet, VoyagerConfig};
+use voyager::{OutputHead, TrainingSet, VoyagerConfig};
 use voyager_runtime::{train_data_parallel, TrainerConfig};
 use voyager_trace::{MemoryAccess, Trace};
 
@@ -14,7 +14,11 @@ fn stream() -> Trace {
 }
 
 fn run(workers: usize) -> (Vec<f32>, Vec<voyager_tensor::Tensor2>) {
-    let cfg = VoyagerConfig::test();
+    run_with(&VoyagerConfig::test(), workers)
+}
+
+fn run_with(cfg: &VoyagerConfig, workers: usize) -> (Vec<f32>, Vec<voyager_tensor::Tensor2>) {
+    let cfg = *cfg;
     let set = TrainingSet::build(&stream(), &cfg);
     let mut tcfg = TrainerConfig::new(workers, &cfg);
     tcfg.max_steps = Some(12);
@@ -36,6 +40,50 @@ fn one_and_four_workers_match_bitwise() {
     for (a, b) in params1.iter().zip(&params4) {
         assert_eq!(a.as_slice(), b.as_slice());
     }
+}
+
+/// FNV-1a over the step losses' bits, then every trained parameter's
+/// shape and bits in store order.
+fn digest(losses: &[f32], params: &[voyager_tensor::Tensor2]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for loss in losses {
+        eat(u64::from(loss.to_bits()));
+    }
+    for p in params {
+        eat(p.rows() as u64);
+        eat(p.cols() as u64);
+        for v in p.as_slice() {
+            eat(u64::from(v.to_bits()));
+        }
+    }
+    h
+}
+
+fn pin(expected: u64, cfg: &VoyagerConfig) {
+    let (losses, params) = run_with(cfg, 2);
+    let got = digest(&losses, &params);
+    assert_eq!(got, expected, "digest moved: got {got:#018x}");
+}
+
+/// Pins what the trainer computes, not only that worker counts agree:
+/// a change to target construction, the loss or the reduction that
+/// moves one loss or parameter bit fails here.
+#[test]
+fn dense_head_training_is_pinned() {
+    pin(0x4cce_48de_af7f_120e, &VoyagerConfig::test());
+}
+
+#[test]
+fn hierarchical_head_training_is_pinned() {
+    pin(
+        0x9e01_1c69_f68c_2d0d,
+        &VoyagerConfig::test().with_output_head(OutputHead::Hier),
+    );
 }
 
 #[test]
