@@ -49,12 +49,9 @@ fn bench_voyager() {
     let cfg = VoyagerConfig::scaled();
     let page_vocab = 2048;
     let batch = seq_batch(cfg.batch_size, cfg.seq_len, page_vocab);
-    let mut pt = Tensor2::zeros(cfg.batch_size, page_vocab);
-    let mut ot = Tensor2::zeros(cfg.batch_size, 64);
-    for i in 0..cfg.batch_size {
-        pt.set(i, (i * 37) % page_vocab, 1.0);
-        ot.set(i, (i * 17) % 64, 1.0);
-    }
+    let (pt, ot): (Vec<_>, Vec<_>) = (0..cfg.batch_size)
+        .map(|i| (vec![(i * 37) % page_vocab], vec![(i * 17) % 64]))
+        .unzip();
     let mut model = VoyagerModel::new(&cfg, 64, page_vocab, 64);
     bench("voyager/train_step_batch", 10, || {
         std::hint::black_box(model.train_multi(&batch, &pt, &ot));

@@ -443,12 +443,9 @@ fn time_training(iters: usize) -> (usize, f64, f64) {
         page: tokens(&|i, j| (i * 13 + j * 3) % page_vocab),
         offset: tokens(&|i, j| (i * 11 + j * 5) % 64),
     };
-    let mut pt = Tensor2::zeros(b, page_vocab);
-    let mut ot = Tensor2::zeros(b, 64);
-    for i in 0..b {
-        pt.set(i, (i * 37) % page_vocab, 1.0);
-        ot.set(i, (i * 17) % 64, 1.0);
-    }
+    let (pt, ot): (Vec<_>, Vec<_>) = (0..b)
+        .map(|i| (vec![(i * 37) % page_vocab], vec![(i * 17) % 64]))
+        .unzip();
     let step = |force_scalar: bool| {
         kernels::set_force_scalar(force_scalar);
         let mut model = VoyagerModel::new(&cfg, 64, page_vocab, 64);
@@ -1000,14 +997,13 @@ fn head_name(head: OutputHead) -> &'static str {
 
 /// Zipf-distributed training batch over a `vocab`-page stream: input
 /// pages and positive labels both follow the popularity distribution,
-/// like the OLTP key skew the paper cites. Target offsets land one-hot
-/// in `ot`.
+/// like the OLTP key skew the paper cites. Each row has one target
+/// offset.
 fn zipf_batch(
     zipf: &ZipfSampler,
     rng: &mut StdRng,
     seq_len: usize,
-    ot: &mut Tensor2,
-) -> (SeqBatch, Vec<Vec<usize>>) {
+) -> (SeqBatch, Vec<Vec<usize>>, Vec<Vec<usize>>) {
     let mut tokens = |draw: &mut dyn FnMut(&mut StdRng) -> usize| -> Vec<Vec<usize>> {
         (0..BATCH)
             .map(|_| (0..seq_len).map(|_| draw(rng)).collect())
@@ -1018,36 +1014,28 @@ fn zipf_batch(
         page: tokens(&mut |rng| zipf.sample(rng)),
         offset: tokens(&mut |rng| rng.gen_range(0..64usize)),
     };
-    let positives = (0..BATCH)
-        .map(|i| {
-            let mut p: Vec<usize> = (0..1 + i % 2).map(|_| zipf.sample(rng)).collect();
-            p.sort_unstable();
-            p.dedup();
-            p
-        })
+    let pages = (0..BATCH)
+        .map(|i| (0..1 + i % 2).map(|_| zipf.sample(rng)).collect())
         .collect();
-    ot.as_mut_slice().fill(0.0);
-    for i in 0..BATCH {
-        let offset = rng.gen_range(0..64usize);
-        ot.set(i, offset, 1.0);
-    }
-    (batch, positives)
+    let offsets = (0..BATCH)
+        .map(|_| vec![rng.gen_range(0..64usize)])
+        .collect();
+    (batch, pages, offsets)
 }
 
-/// One training step of a (head, vocab) cell per call:
-/// `train_multi_sparse` on a fresh model over Zipf batches. The dense
-/// head pays its `O(V)` multi-hot and logits inside the step, the
-/// hierarchical head only `O(clusters + positives * branch)`.
+/// One training step of a (head, vocab) cell per call: `train_multi`
+/// on a fresh model over Zipf batches. The dense head pays its `O(V)`
+/// multi-hot and logits inside the step, the hierarchical head only
+/// `O(clusters + positives * branch)`.
 fn step_cell(head: OutputHead, mult: usize) -> impl FnMut() {
     let vocab = BASE_VOCAB * mult;
     let cfg = vocab_config(head);
     let mut model = VoyagerModel::new(&cfg, 64, vocab, 64);
     let zipf = ZipfSampler::new(vocab, 0.9);
     let mut rng = StdRng::seed_from_u64(0x10_0000 + mult as u64);
-    let mut ot = Tensor2::zeros(BATCH, 64);
     move || {
-        let (b, p) = zipf_batch(&zipf, &mut rng, cfg.seq_len, &mut ot);
-        std::hint::black_box(model.train_multi_sparse(&b, &p, &ot));
+        let (b, p, o) = zipf_batch(&zipf, &mut rng, cfg.seq_len);
+        std::hint::black_box(model.train_multi(&b, &p, &o));
     }
 }
 
@@ -1059,13 +1047,10 @@ fn head_agreement() -> f64 {
     let mut hier = VoyagerModel::new(&hier_cfg, 16, 21, 64);
     let p = patterns();
     let pos: Vec<Vec<usize>> = vec![vec![6], vec![20], vec![2], vec![14]];
-    let mut ot = Tensor2::zeros(4, 64);
-    for (i, o) in [30, 40, 50, 60].into_iter().enumerate() {
-        ot.set(i, o, 1.0);
-    }
+    let ot: Vec<Vec<usize>> = vec![vec![30], vec![40], vec![50], vec![60]];
     for _ in 0..500 {
-        dense.train_multi_sparse(&p, &pos, &ot);
-        hier.train_multi_sparse(&p, &pos, &ot);
+        dense.train_multi(&p, &pos, &ot);
+        hier.train_multi(&p, &pos, &ot);
     }
     let eval = pattern_eval(&p);
     top1_agreement(&dense.predict_fast(&eval, 1), &hier.predict_fast(&eval, 1))

@@ -15,7 +15,6 @@
 
 use std::ops::Range;
 
-use voyager_tensor::Tensor2;
 use voyager_trace::labels::compute_labels;
 use voyager_trace::vocab::{TokenizedAccess, Vocabulary};
 use voyager_trace::Trace;
@@ -159,28 +158,33 @@ impl TrainingSet {
         self.seq_len
     }
 
-    /// Builds model inputs and multi-hot targets for samples
+    /// Builds model inputs and multi-label targets for samples
     /// `start..end` (in stream order): the history-window batch plus
-    /// `[rows, page_vocab]` and `[rows, offset_vocab]` target tensors.
+    /// each row's positive pages and positive offsets, in target order.
     ///
     /// # Panics
     ///
     /// Panics if the range is empty or out of bounds.
-    pub fn slice_batch(&self, start: usize, end: usize) -> (SeqBatch, Tensor2, Tensor2) {
+    pub fn slice_batch(
+        &self,
+        start: usize,
+        end: usize,
+    ) -> (SeqBatch, Vec<Vec<usize>>, Vec<Vec<usize>>) {
         assert!(
             start < end && end <= self.samples.len(),
             "bad sample range {start}..{end}"
         );
         let rows = &self.samples[start..end];
-        let mut pt = Tensor2::zeros(rows.len(), self.vocab.page_vocab_len());
-        let mut ot = Tensor2::zeros(rows.len(), self.vocab.offset_vocab_len());
-        for (row, sample) in rows.iter().enumerate() {
-            for &(p, o) in &sample.targets {
-                pt.set(row, p as usize, 1.0);
-                ot.set(row, o as usize, 1.0);
-            }
-        }
-        (self.batch_of(rows), pt, ot)
+        let (pages, offsets) = rows
+            .iter()
+            .map(|s| {
+                s.targets
+                    .iter()
+                    .map(|&(p, o)| (p as usize, o as usize))
+                    .unzip()
+            })
+            .unzip();
+        (self.batch_of(rows), pages, offsets)
     }
 
     /// The samples whose stream positions fall in `positions`. Samples
@@ -191,8 +195,8 @@ impl TrainingSet {
     }
 
     /// One gradient step of `model` on samples `samples` with the
-    /// configured objective: multi-label BCE against multi-hot targets,
-    /// or softmax cross-entropy in single-label mode. Returns the
+    /// configured objective: multi-label BCE against every candidate
+    /// target, or softmax cross-entropy in single-label mode. Returns the
     /// step's loss.
     pub(crate) fn train_step(&self, model: &mut VoyagerModel, samples: Range<usize>) -> f32 {
         match self.labels {
@@ -239,12 +243,12 @@ mod tests {
         let (batch, pt, ot) = set.slice_batch(0, set.len().min(8));
         assert_eq!(batch.len(), set.len().min(8));
         assert_eq!(batch.seq_len(), cfg.seq_len);
-        assert_eq!(pt.shape().0, batch.len());
-        assert_eq!(ot.shape().0, batch.len());
+        assert_eq!(pt.len(), batch.len());
+        assert_eq!(ot.len(), batch.len());
         // Every row has at least one positive page and offset target.
-        for r in 0..batch.len() {
-            assert!(pt.row(r).contains(&1.0));
-            assert!(ot.row(r).contains(&1.0));
+        for (pages, offsets) in pt.iter().zip(&ot) {
+            assert!(!pages.is_empty());
+            assert_eq!(pages.len(), offsets.len());
         }
     }
 
@@ -261,14 +265,8 @@ mod tests {
         for (i, row) in a.page.iter().chain(&b.page).enumerate() {
             assert_eq!(row, &whole.page[i]);
         }
-        for i in 0..mid {
-            assert_eq!(apt.row(i), wpt.row(i));
-            assert_eq!(aot.row(i), wot.row(i));
-        }
-        for i in mid..n {
-            assert_eq!(bpt.row(i - mid), wpt.row(i));
-            assert_eq!(bot.row(i - mid), wot.row(i));
-        }
+        assert_eq!([apt, bpt].concat(), wpt);
+        assert_eq!([aot, bot].concat(), wot);
     }
 
     #[test]

@@ -811,7 +811,6 @@ impl VoyagerModel {
 #[cfg(test)]
 mod tests {
     use crate::{FeatureSet, SeqBatch, VoyagerConfig, VoyagerModel};
-    use voyager_tensor::Tensor2;
 
     fn batch(b: usize, l: usize) -> SeqBatch {
         SeqBatch {
@@ -824,12 +823,9 @@ mod tests {
     fn train_some(m: &mut VoyagerModel, b: usize, steps: usize) {
         let bat = batch(b, m.config().seq_len);
         let (pv, ov) = (m.page_vocab.max(1), m.offset_vocab);
-        let mut pt = Tensor2::zeros(b, pv);
-        let mut ot = Tensor2::zeros(b, ov);
-        for i in 0..b {
-            pt.set(i, (i * 5) % pv, 1.0);
-            ot.set(i, (i * 11) % ov, 1.0);
-        }
+        let (pt, ot): (Vec<_>, Vec<_>) = (0..b)
+            .map(|i| (vec![(i * 5) % pv], vec![(i * 11) % ov]))
+            .unzip();
         for _ in 0..steps {
             m.train_multi(&bat, &pt, &ot);
         }

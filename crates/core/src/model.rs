@@ -312,116 +312,57 @@ impl VoyagerModel {
     /// parameters: returns the summed loss and the materialized
     /// gradients. Data-parallel workers run this on their shard; the
     /// aggregated set is applied with [`VoyagerModel::apply_grad_set`].
+    /// Targets are as in [`VoyagerModel::train_multi`].
     ///
     /// Dropout is driven by the model's own RNG, so replicas are only
     /// bitwise-reproducible when `dropout_keep == 1.0`.
     pub fn grad_multi(
         &mut self,
         batch: &SeqBatch,
-        page_targets: &Tensor2,
-        offset_targets: &Tensor2,
-    ) -> (f32, GradSet) {
-        assert_eq!(page_targets.shape(), (batch.len(), self.page_vocab));
-        assert_eq!(offset_targets.shape(), (batch.len(), self.offset_vocab));
-        let mut sess = Session::new();
-        let loss = self.multi_loss(
-            &mut sess,
-            batch,
-            PageMulti::Dense(page_targets),
-            offset_targets,
-        );
-        let value = sess.tape.value(loss).get(0, 0);
-        (value, sess.collect_grads(loss))
-    }
-
-    /// Sparse-target counterpart of [`VoyagerModel::grad_multi`]: page
-    /// positives arrive as per-row class lists instead of a `[batch,
-    /// vocab]` multi-hot, so target construction stays `O(positives)`
-    /// at 100x vocabularies.
-    pub fn grad_multi_sparse(
-        &mut self,
-        batch: &SeqBatch,
         page_positives: &[Vec<usize>],
-        offset_targets: &Tensor2,
-    ) -> (f32, GradSet) {
-        assert_eq!(
-            page_positives.len(),
-            batch.len(),
-            "one positive list per row"
-        );
-        assert_eq!(offset_targets.shape(), (batch.len(), self.offset_vocab));
-        let mut sess = Session::new();
-        let loss = self.multi_loss(
-            &mut sess,
-            batch,
-            PageMulti::Sparse(page_positives),
-            offset_targets,
-        );
-        let value = sess.tape.value(loss).get(0, 0);
-        (value, sess.collect_grads(loss))
-    }
-
-    /// Single-label counterpart of [`VoyagerModel::grad_multi`].
-    pub fn grad_single(
-        &mut self,
-        batch: &SeqBatch,
-        page_targets: &[usize],
-        offset_targets: &[usize],
+        offset_positives: &[Vec<usize>],
     ) -> (f32, GradSet) {
         let mut sess = Session::new();
-        let loss = self.single_loss(&mut sess, batch, page_targets, offset_targets);
+        let loss = self.multi_loss(&mut sess, batch, page_positives, offset_positives);
         let value = sess.tape.value(loss).get(0, 0);
         (value, sess.collect_grads(loss))
     }
 
     /// Applies one optimizer step from gradients collected via
-    /// [`VoyagerModel::grad_multi`] / [`VoyagerModel::grad_single`]
-    /// (possibly reduced across replicas with
+    /// [`VoyagerModel::grad_multi`] (possibly reduced across replicas with
     /// [`GradSet::merge_scaled`]).
     pub fn apply_grad_set(&mut self, grads: &GradSet) {
         self.adam.apply_grad_set(&mut self.store, grads);
     }
 
     /// Builds the combined page + offset loss for a multi-label batch,
-    /// routing the page side through the configured output head.
+    /// routing the page side through the configured output head. Only
+    /// the dense heads see a `[batch, vocab]` multi-hot; the
+    /// hierarchical head takes the positive lists as they are.
     fn multi_loss(
         &mut self,
         sess: &mut Session,
         batch: &SeqBatch,
-        page_targets: PageMulti<'_>,
-        offset_targets: &Tensor2,
+        page_positives: &[Vec<usize>],
+        offset_positives: &[Vec<usize>],
     ) -> Var {
+        assert!(
+            page_positives.len() == batch.len() && offset_positives.len() == batch.len(),
+            "one positive list per row"
+        );
         let (ph, oh) = self.forward_trunk(sess, batch, true);
-        let lp = match (&self.page_head, page_targets) {
-            (PageHead::Dense(lin), PageMulti::Dense(t)) => {
+        let lp = match &self.page_head {
+            PageHead::Dense(lin) => {
                 let pl = lin.forward(sess, &self.store, ph);
-                sess.tape.bce_with_logits(pl, t)
+                sess.tape
+                    .bce_with_logits(pl, &multi_hot(page_positives, self.page_vocab))
             }
-            (PageHead::Dense(lin), PageMulti::Sparse(pos)) => {
-                let mut t = Tensor2::zeros(pos.len(), self.page_vocab.max(1));
-                for (row, classes) in pos.iter().enumerate() {
-                    for &c in classes {
-                        assert!(
-                            c < self.page_vocab,
-                            "page class {c} out of {}",
-                            self.page_vocab
-                        );
-                        t.set(row, c, 1.0);
-                    }
-                }
-                let pl = lin.forward(sess, &self.store, ph);
-                sess.tape.bce_with_logits(pl, &t)
-            }
-            (PageHead::Hier(hs), PageMulti::Dense(t)) => {
-                let pos = dense_to_positives(t);
-                hs.loss_multi(sess, &self.store, ph, &pos)
-            }
-            (PageHead::Hier(hs), PageMulti::Sparse(pos)) => {
-                hs.loss_multi(sess, &self.store, ph, pos)
-            }
+            PageHead::Hier(hs) => hs.loss_multi(sess, &self.store, ph, page_positives),
         };
         let ol = self.offset_head.forward(sess, &self.store, oh);
-        let lo = sess.tape.bce_with_logits(ol, offset_targets);
+        let lo = sess
+            .tape
+            .bce_with_logits(ol, &multi_hot(offset_positives, self.offset_vocab));
         sess.tape.add(lp, lo)
     }
 
@@ -487,61 +428,23 @@ impl VoyagerModel {
     }
 
     /// One multi-label training step (Section 4.4): binary cross-entropy
-    /// against multi-hot page and offset targets. Returns the summed
-    /// loss.
+    /// against each row's positive pages and positive offsets, given as
+    /// class lists (order and repeats do not matter). Nothing
+    /// `O(vocab)` is built for the hierarchical head. Returns the
+    /// summed loss.
     ///
     /// # Panics
     ///
-    /// Panics if target shapes do not match `[batch, vocab]`.
+    /// Panics on row-count mismatch, an out-of-range class, or an empty
+    /// page list with the hierarchical head.
     pub fn train_multi(
         &mut self,
         batch: &SeqBatch,
-        page_targets: &Tensor2,
-        offset_targets: &Tensor2,
-    ) -> f32 {
-        assert_eq!(page_targets.shape(), (batch.len(), self.page_vocab));
-        assert_eq!(offset_targets.shape(), (batch.len(), self.offset_vocab));
-        let mut sess = Session::new();
-        let loss = self.multi_loss(
-            &mut sess,
-            batch,
-            PageMulti::Dense(page_targets),
-            offset_targets,
-        );
-        let value = sess.tape.value(loss).get(0, 0);
-        sess.step(loss, &mut self.store, &mut self.adam);
-        value
-    }
-
-    /// One multi-label training step with sparse page targets: per-row
-    /// lists of positive page classes instead of a `[batch, vocab]`
-    /// multi-hot tensor. With the hierarchical head this is the only
-    /// step cost that exists — nothing `O(vocab)` is ever materialized.
-    /// Returns the summed loss.
-    ///
-    /// # Panics
-    ///
-    /// Panics on row-count mismatch, an empty positive list (with the
-    /// hierarchical head), or out-of-range classes.
-    pub fn train_multi_sparse(
-        &mut self,
-        batch: &SeqBatch,
         page_positives: &[Vec<usize>],
-        offset_targets: &Tensor2,
+        offset_positives: &[Vec<usize>],
     ) -> f32 {
-        assert_eq!(
-            page_positives.len(),
-            batch.len(),
-            "one positive list per row"
-        );
-        assert_eq!(offset_targets.shape(), (batch.len(), self.offset_vocab));
         let mut sess = Session::new();
-        let loss = self.multi_loss(
-            &mut sess,
-            batch,
-            PageMulti::Sparse(page_positives),
-            offset_targets,
-        );
+        let loss = self.multi_loss(&mut sess, batch, page_positives, offset_positives);
         let value = sess.tape.value(loss).get(0, 0);
         sess.step(loss, &mut self.store, &mut self.adam);
         value
@@ -627,27 +530,17 @@ impl VoyagerModel {
     }
 }
 
-/// Multi-label page targets: the dense `[batch, vocab]` multi-hot the
-/// original API takes, or per-row positive-class lists.
-enum PageMulti<'a> {
-    Dense(&'a Tensor2),
-    Sparse(&'a [Vec<usize>]),
-}
-
-/// Scans a dense multi-hot tensor into per-row positive class lists
-/// (entries > 0.5 count as positive).
-fn dense_to_positives(targets: &Tensor2) -> Vec<Vec<usize>> {
-    (0..targets.rows())
-        .map(|row| {
-            targets
-                .row(row)
-                .iter()
-                .enumerate()
-                .filter(|&(_, &v)| v > 0.5)
-                .map(|(c, _)| c)
-                .collect()
-        })
-        .collect()
+/// The `[rows, vocab]` multi-hot of per-row positive class lists, the
+/// BCE target of a dense head.
+fn multi_hot(positives: &[Vec<usize>], vocab: usize) -> Tensor2 {
+    let mut t = Tensor2::zeros(positives.len(), vocab.max(1));
+    for (row, classes) in positives.iter().enumerate() {
+        for &c in classes {
+            assert!(c < vocab, "class {c} out of {vocab}");
+            t.set(row, c, 1.0);
+        }
+    }
+    t
 }
 
 fn input_dim(cfg: &VoyagerConfig) -> usize {
@@ -665,7 +558,19 @@ fn input_dim(cfg: &VoyagerConfig) -> usize {
 mod tests {
     use super::*;
     use crate::FeatureSet;
-    use voyager_tensor::Tensor2;
+
+    /// One positive page and one positive offset per row.
+    fn targets(
+        rows: usize,
+        target: impl Fn(usize) -> (usize, usize),
+    ) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+        (0..rows)
+            .map(|i| {
+                let (page, offset) = target(i);
+                (vec![page], vec![offset])
+            })
+            .unzip()
+    }
 
     fn batch(b: usize, l: usize) -> SeqBatch {
         SeqBatch {
@@ -699,12 +604,7 @@ mod tests {
         let cfg = VoyagerConfig::test();
         let mut m = VoyagerModel::new(&cfg, 16, 32, 64);
         let b = batch(8, cfg.seq_len);
-        let mut pt = Tensor2::zeros(8, 32);
-        let mut ot = Tensor2::zeros(8, 64);
-        for i in 0..8 {
-            pt.set(i, (i * 5) % 32, 1.0);
-            ot.set(i, (i * 11) % 64, 1.0);
-        }
+        let (pt, ot) = targets(8, |i| ((i * 5) % 32, (i * 11) % 64));
         let first = m.train_multi(&b, &pt, &ot);
         let mut last = first;
         for _ in 0..30 {
@@ -745,12 +645,7 @@ mod tests {
         let mut fused = VoyagerModel::new(&cfg, 16, 32, 64);
         let mut split = VoyagerModel::new(&cfg, 16, 32, 64);
         let b = batch(6, cfg.seq_len);
-        let mut pt = Tensor2::zeros(6, 32);
-        let mut ot = Tensor2::zeros(6, 64);
-        for i in 0..6 {
-            pt.set(i, (i * 5) % 32, 1.0);
-            ot.set(i, (i * 11) % 64, 1.0);
-        }
+        let (pt, ot) = targets(6, |i| ((i * 5) % 32, (i * 11) % 64));
         for _ in 0..3 {
             let lf = fused.train_multi(&b, &pt, &ot);
             let (ls, grads) = split.grad_multi(&b, &pt, &ot);
@@ -769,12 +664,7 @@ mod tests {
         let cfg = VoyagerConfig::test();
         let mut m = VoyagerModel::new(&cfg, 16, 32, 64);
         let b = batch(5, cfg.seq_len);
-        let mut pt = Tensor2::zeros(5, 32);
-        let mut ot = Tensor2::zeros(5, 64);
-        for i in 0..5 {
-            pt.set(i, (i * 3) % 32, 1.0);
-            ot.set(i, (i * 9) % 64, 1.0);
-        }
+        let (pt, ot) = targets(5, |i| ((i * 3) % 32, (i * 9) % 64));
         let (_, grads) = m.grad_multi(&b, &pt, &ot);
         let mut ids: Vec<_> = grads.iter().map(|(id, _)| id).collect();
         assert_eq!(ids.len(), m.store().len());
@@ -799,12 +689,7 @@ mod tests {
         cfg2.seed = 99; // different init, same layout
         let mut b = VoyagerModel::new(&cfg2, 16, 32, 64);
         let b4 = batch(4, cfg.seq_len);
-        let mut pt = Tensor2::zeros(4, 32);
-        let mut ot = Tensor2::zeros(4, 64);
-        for i in 0..4 {
-            pt.set(i, i * 7, 1.0);
-            ot.set(i, i * 13, 1.0);
-        }
+        let (pt, ot) = targets(4, |i| (i * 7, i * 13));
         for _ in 0..5 {
             a.train_multi(&b4, &pt, &ot);
         }
@@ -817,12 +702,7 @@ mod tests {
         let cfg = VoyagerConfig::test();
         let mut a = VoyagerModel::new(&cfg, 16, 32, 64);
         let b4 = batch(4, cfg.seq_len);
-        let mut pt = Tensor2::zeros(4, 32);
-        let mut ot = Tensor2::zeros(4, 64);
-        for i in 0..4 {
-            pt.set(i, i * 7, 1.0);
-            ot.set(i, i * 13, 1.0);
-        }
+        let (pt, ot) = targets(4, |i| (i * 7, i * 13));
         for _ in 0..5 {
             a.train_multi(&b4, &pt, &ot);
         }
@@ -866,12 +746,7 @@ mod tests {
         let mut a = VoyagerModel::new(&cfg, 16, 32, 64);
         // Perturb A away from initialisation.
         let b4 = batch(4, cfg.seq_len);
-        let mut pt = Tensor2::zeros(4, 32);
-        let mut ot = Tensor2::zeros(4, 64);
-        for i in 0..4 {
-            pt.set(i, i * 7, 1.0);
-            ot.set(i, i * 13, 1.0);
-        }
+        let (pt, ot) = targets(4, |i| (i * 7, i * 13));
         for _ in 0..20 {
             a.train_multi(&b4, &pt, &ot);
         }

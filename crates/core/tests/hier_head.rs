@@ -25,31 +25,25 @@ fn batch(b: usize, l: usize) -> SeqBatch {
     }
 }
 
-/// Per-row sparse page positives plus a matching offset multi-hot.
-fn targets(b: usize) -> (Vec<Vec<usize>>, Tensor2) {
-    let positives: Vec<Vec<usize>> = (0..b)
+/// Per-row page positives (two on even rows) and one offset positive
+/// per row.
+fn targets(b: usize) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    (0..b)
         .map(|i| {
             let mut p = vec![(i * 5) % PAGE_VOCAB];
             if i % 2 == 0 {
                 p.push((i * 11 + 3) % PAGE_VOCAB);
             }
-            p.sort_unstable();
-            p.dedup();
-            p
+            (p, vec![(i * 11) % 64])
         })
-        .collect();
-    let mut ot = Tensor2::zeros(b, 64);
-    for i in 0..b {
-        ot.set(i, (i * 11) % 64, 1.0);
-    }
-    (positives, ot)
+        .unzip()
 }
 
 fn train_some(m: &mut VoyagerModel, b: usize, steps: usize) {
     let bat = batch(b, m.config().seq_len);
     let (pos, ot) = targets(b);
     for _ in 0..steps {
-        m.train_multi_sparse(&bat, &pos, &ot);
+        m.train_multi(&bat, &pos, &ot);
     }
 }
 
@@ -83,42 +77,16 @@ fn hier_predict_fast_is_bitwise_identical_to_predict() {
     }
 }
 
-#[test]
-fn hier_train_multi_sparse_matches_dense_targets() {
-    // Sparse positive lists and the equivalent dense multi-hot must
-    // drive the hierarchical loss identically (same loss, same
-    // parameters after stepping).
-    let cfg = hier_cfg();
-    let mut sparse = VoyagerModel::new(&cfg, 16, PAGE_VOCAB, 64);
-    let mut dense = VoyagerModel::new(&cfg, 16, PAGE_VOCAB, 64);
-    let bat = batch(5, cfg.seq_len);
-    let (pos, ot) = targets(5);
-    let mut pt = Tensor2::zeros(5, PAGE_VOCAB);
-    for (row, classes) in pos.iter().enumerate() {
-        for &c in classes {
-            pt.set(row, c, 1.0);
-        }
-    }
-    for _ in 0..3 {
-        let ls = sparse.train_multi_sparse(&bat, &pos, &ot);
-        let ld = dense.train_multi(&bat, &pt, &ot);
-        assert_eq!(ls, ld);
-    }
-    for ((_, _, va), (_, _, vb)) in sparse.store().iter().zip(dense.store().iter()) {
-        assert_eq!(va.as_slice(), vb.as_slice());
-    }
-}
-
 /// Numeric gradient check of the hierarchical head *inside* the full
 /// model: central finite differences of the sparse multi-label loss
 /// with respect to every `page_head.*` parameter must match the
-/// analytic gradients `grad_multi_sparse` collects.
+/// analytic gradients `grad_multi` collects.
 fn check_hier_head_grads(cfg: &VoyagerConfig) {
     let mut m = VoyagerModel::new(cfg, 8, PAGE_VOCAB, 64);
     let bat = batch(3, cfg.seq_len);
     let (pos, ot) = targets(3);
 
-    let (_, grads) = m.grad_multi_sparse(&bat, &pos, &ot);
+    let (_, grads) = m.grad_multi(&bat, &pos, &ot);
     let head_ids: Vec<_> = m
         .store()
         .iter()
@@ -155,9 +123,9 @@ fn check_hier_head_grads(cfg: &VoyagerConfig) {
             for c in 0..cols {
                 let orig = m.store().value(id).get(r, c);
                 m.store_mut().value_mut(id).set(r, c, orig + eps);
-                let plus = m.grad_multi_sparse(&bat, &pos, &ot).0;
+                let plus = m.grad_multi(&bat, &pos, &ot).0;
                 m.store_mut().value_mut(id).set(r, c, orig - eps);
-                let minus = m.grad_multi_sparse(&bat, &pos, &ot).0;
+                let minus = m.grad_multi(&bat, &pos, &ot).0;
                 m.store_mut().value_mut(id).set(r, c, orig);
                 numeric.set(r, c, (plus - minus) / (2.0 * eps));
             }
@@ -191,13 +159,10 @@ fn dense_and_hier_top1_agree_after_training() {
         offset: vec![vec![10; 4], vec![20; 4], vec![30; 4], vec![40; 4]],
     };
     let pos: Vec<Vec<usize>> = vec![vec![6], vec![20], vec![2], vec![14]];
-    let mut ot = Tensor2::zeros(4, 64);
-    for (i, &o) in [30usize, 40, 50, 60].iter().enumerate() {
-        ot.set(i, o, 1.0);
-    }
+    let ot: Vec<Vec<usize>> = vec![vec![30], vec![40], vec![50], vec![60]];
     for _ in 0..500 {
-        d.train_multi_sparse(&patterns, &pos, &ot);
-        h.train_multi_sparse(&patterns, &pos, &ot);
+        d.train_multi(&patterns, &pos, &ot);
+        h.train_multi(&patterns, &pos, &ot);
     }
     // Convergence check first: each model must have learned the
     // mapping on its own, so the agreement below measures the heads,
@@ -209,7 +174,7 @@ fn dense_and_hier_top1_agree_after_training() {
         for (i, row) in preds.iter().enumerate() {
             assert_eq!(
                 (row[0].0 as usize, row[0].1 as usize),
-                (pos[i][0], [30usize, 40, 50, 60][i]),
+                (pos[i][0], ot[i][0]),
                 "{name} did not converge on pattern {i}"
             );
         }

@@ -268,9 +268,10 @@ impl CheckpointManager {
 mod tests {
     use super::*;
     use voyager::{SeqBatch, VoyagerConfig};
-    use voyager_tensor::Tensor2;
 
-    fn model_and_batch() -> (VoyagerModel, SeqBatch, Tensor2, Tensor2) {
+    type Positives = Vec<Vec<usize>>;
+
+    fn model_and_batch() -> (VoyagerModel, SeqBatch, Positives, Positives) {
         let cfg = VoyagerConfig::test();
         let model = VoyagerModel::new(&cfg, 16, 32, 64);
         let batch = SeqBatch {
@@ -278,13 +279,12 @@ mod tests {
             page: vec![vec![3; cfg.seq_len], vec![5; cfg.seq_len]],
             offset: vec![vec![10; cfg.seq_len], vec![20; cfg.seq_len]],
         };
-        let mut pt = Tensor2::zeros(2, 32);
-        let mut ot = Tensor2::zeros(2, 64);
-        pt.set(0, 6, 1.0);
-        pt.set(1, 7, 1.0);
-        ot.set(0, 30, 1.0);
-        ot.set(1, 40, 1.0);
-        (model, batch, pt, ot)
+        (
+            model,
+            batch,
+            vec![vec![6], vec![7]],
+            vec![vec![30], vec![40]],
+        )
     }
 
     fn tempdir(tag: &str) -> PathBuf {

@@ -391,12 +391,7 @@ mod tests {
             page: vec![vec![3; cfg.seq_len], vec![5; cfg.seq_len]],
             offset: vec![vec![10; cfg.seq_len], vec![20; cfg.seq_len]],
         };
-        let mut pt = voyager_tensor::Tensor2::zeros(2, 32);
-        let mut ot = voyager_tensor::Tensor2::zeros(2, 64);
-        pt.set(0, 6, 1.0);
-        pt.set(1, 7, 1.0);
-        ot.set(0, 30, 1.0);
-        ot.set(1, 40, 1.0);
+        let (pt, ot) = (vec![vec![6], vec![7]], vec![vec![30], vec![40]]);
         for _ in 0..steps {
             model.train_multi(&batch, &pt, &ot);
         }

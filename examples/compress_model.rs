@@ -11,7 +11,6 @@
 
 use voyager::{SeqBatch, VoyagerConfig, VoyagerModel};
 use voyager_nn::compress;
-use voyager_tensor::Tensor2;
 
 fn main() {
     // A tiny supervised task standing in for a trained prefetcher:
@@ -38,12 +37,7 @@ fn main() {
     let targets: Vec<(usize, usize)> = (0..16)
         .map(|i| ((i * 7 + 3) % 64, (i * 13 + 1) % 64))
         .collect();
-    let mut pt = Tensor2::zeros(16, 64);
-    let mut ot = Tensor2::zeros(16, 64);
-    for (row, &(p, o)) in targets.iter().enumerate() {
-        pt.set(row, p, 1.0);
-        ot.set(row, o, 1.0);
-    }
+    let (pt, ot): (Vec<_>, Vec<_>) = targets.iter().map(|&(p, o)| (vec![p], vec![o])).unzip();
     println!("training ...");
     for step in 0..1_200 {
         let loss = model.train_multi(&batch, &pt, &ot);
