@@ -284,51 +284,6 @@ impl HierarchicalSoftmax {
         sess.gather(store, self.leaf_weights, clusters)
     }
 
-    /// Predicts the top `k` classes for each hidden row by combining
-    /// cluster and leaf probabilities over the `fan` most likely
-    /// clusters.
-    pub fn predict(
-        &self,
-        sess: &mut Session,
-        store: &ParamStore,
-        h: Var,
-        k: usize,
-    ) -> Vec<Vec<(usize, f32)>> {
-        let b = sess.tape.value(h).rows();
-        let cluster_logits = self.cluster_head.forward(sess, store, h);
-        let cluster_probs_var = sess.tape.softmax_rows(cluster_logits);
-        let cluster_probs = sess.tape.value(cluster_probs_var).clone();
-        let fan = 2.min(self.clusters).max(1);
-        let mut out: Vec<Vec<(usize, f32)>> = vec![Vec::new(); b];
-        // Evaluate leaf scores for the top `fan` clusters of each row.
-        for rank in 0..fan {
-            let top_clusters: Vec<usize> = (0..b)
-                .map(|row| cluster_probs.topk_row(row, fan)[rank.min(fan - 1)])
-                .collect();
-            let chunks = self.gather_chunks(sess, store, &top_clusters);
-            let leaf_logits = sess.tape.chunk_dot(h, chunks, self.branch);
-            let masked = self.mask_branch_logits(sess, leaf_logits, &top_clusters);
-            let leaf_probs_var = sess.tape.softmax_rows(masked);
-            let leaf_probs = sess.tape.value(leaf_probs_var);
-            for (row, out_row) in out.iter_mut().enumerate() {
-                let c = top_clusters[row];
-                let pc = cluster_probs.get(row, c);
-                for j in 0..self.branch {
-                    let class = c * self.branch + j;
-                    if class < self.num_classes {
-                        out_row.push((class, pc * leaf_probs.get(row, j)));
-                    }
-                }
-            }
-        }
-        for row in &mut out {
-            row.sort_by(|a, b| b.1.total_cmp(&a.1));
-            row.dedup_by_key(|e| e.0);
-            row.truncate(k);
-        }
-        out
-    }
-
     /// Hidden dimension.
     pub fn hidden(&self) -> usize {
         self.hidden
@@ -439,31 +394,9 @@ mod tests {
             sess.step(loss, &mut store, &mut adam);
         }
         assert!(last < 0.2, "did not converge: {last}");
-        let mut sess = Session::new();
-        let h = sess.tape.leaf(inputs, false);
-        let preds = hs.predict(&mut sess, &store, h, 1);
-        for (row, &t) in preds.iter().zip(&targets) {
-            assert_eq!(row[0].0, t, "wrong class: {row:?}");
-        }
-    }
-
-    #[test]
-    fn predict_probabilities_are_ranked_and_valid() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut store = ParamStore::new();
-        let hs = HierarchicalSoftmax::new(&mut store, "hs", 4, 17, &mut rng);
-        let mut sess = Session::new();
-        let h = sess.tape.leaf(Tensor2::uniform(2, 4, 1.0, &mut rng), false);
-        let preds = hs.predict(&mut sess, &store, h, 5);
-        for row in preds {
-            assert!(row.len() <= 5);
-            for w in row.windows(2) {
-                assert!(w[0].1 >= w[1].1);
-            }
-            for (class, p) in row {
-                assert!(class < 17);
-                assert!((0.0..=1.0).contains(&p));
-            }
+        let probs = hs.class_probabilities(&store, &inputs);
+        for (row, &t) in targets.iter().enumerate() {
+            assert_eq!(probs.argmax_row(row), t, "wrong class in row {row}");
         }
     }
 

@@ -20,10 +20,8 @@
 //! implemented, for ablations and as substrates in their own right:
 //! [`NextLine`] (sequential), [`Markov`] (frequency-based address
 //! correlation), [`Vldp`] (variable-length delta correlation, Eq. 7),
-//! [`Sms`] (spatial footprints), [`IsbStructural`] — the full MICRO
-//! 2013 ISB mechanism with an explicit structural address space — and
-//! [`Throttled`], a feedback-directed degree controller for any of
-//! them (the dynamic counterpart of the Fig. 9 degree sweep).
+//! [`Sms`] (spatial footprints) and [`IsbStructural`] — the full MICRO
+//! 2013 ISB mechanism with an explicit structural address space.
 //!
 //! All prefetchers implement the [`Prefetcher`] trait: they observe an
 //! access stream (normally the LLC-filtered stream produced by
@@ -43,7 +41,6 @@ mod nextline;
 mod sms;
 mod stms;
 mod stride;
-mod throttle;
 mod vldp;
 
 pub use bo::BestOffset;
@@ -56,7 +53,6 @@ pub use nextline::NextLine;
 pub use sms::Sms;
 pub use stms::Stms;
 pub use stride::StridePc;
-pub use throttle::Throttled;
 pub use vldp::Vldp;
 
 use voyager_trace::MemoryAccess;
