@@ -59,6 +59,6 @@ pub use voyager_tensor::rng;
 pub use config::{FeatureSet, LabelMode, OutputHead, VoyagerConfig};
 pub use data::{positions_with_history, TrainingSet};
 pub use delta_lstm::{DeltaLstm, DeltaLstmConfig};
-pub use model::{hier_shape, SeqBatch, VoyagerModel};
+pub use model::{hier_shape, InvalidWindow, SeqBatch, TokenStream, VoyagerModel};
 pub use online::OnlineRun;
 pub use replay::ReplayPrefetcher;

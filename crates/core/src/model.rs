@@ -61,6 +61,60 @@ impl SeqBatch {
     }
 }
 
+/// One of a history window's three token streams.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TokenStream {
+    /// PC tokens.
+    Pc,
+    /// Page tokens.
+    Page,
+    /// Offset tokens.
+    Offset,
+}
+
+/// Why [`VoyagerModel::check_window`] refused a history window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InvalidWindow {
+    /// A stream is not the model's `seq_len` long (an empty window
+    /// included).
+    Length {
+        /// The stream of the wrong length.
+        stream: TokenStream,
+        /// Its length.
+        len: usize,
+        /// The model's `seq_len`.
+        seq_len: usize,
+    },
+    /// A token the model would look up past the end of its embedding.
+    Token {
+        /// The stream holding the token.
+        stream: TokenStream,
+        /// The token id.
+        token: usize,
+        /// The embedding's vocabulary size.
+        vocab: usize,
+    },
+}
+
+impl std::fmt::Display for InvalidWindow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            InvalidWindow::Length {
+                stream,
+                len,
+                seq_len,
+            } => write!(f, "{stream:?} window has {len} tokens, not {seq_len}"),
+            InvalidWindow::Token {
+                stream,
+                token,
+                vocab,
+            } => write!(f, "{stream:?} token {token} out of vocabulary {vocab}"),
+        }
+    }
+}
+
+impl std::error::Error for InvalidWindow {}
+
 /// The page output head: a flat dense linear layer (the paper's
 /// trained configuration, `O(V)` per step) or the two-level
 /// hierarchical softmax (Section 5.5, `O(sqrt(V))`).
@@ -212,6 +266,53 @@ impl VoyagerModel {
     /// Page vocabulary size the heads were built for.
     pub fn page_vocab(&self) -> usize {
         self.page_vocab
+    }
+
+    /// Checks one history window against what this model can run:
+    /// each of the three streams `seq_len` long, and every token the
+    /// model looks up (PCs with the PC feature, pages and offsets with
+    /// the address feature) inside its embedding. Allocation-free:
+    /// serving checks every request with it before batching.
+    ///
+    /// # Errors
+    ///
+    /// The first stream, in PC, page, offset order, that is the wrong
+    /// length or holds an out-of-range token.
+    pub fn check_window(
+        &self,
+        pc: &[usize],
+        page: &[usize],
+        offset: &[usize],
+    ) -> Result<(), InvalidWindow> {
+        let features = self.cfg.features;
+        let seq_len = self.cfg.seq_len;
+        for (stream, tokens, emb, looked_up) in [
+            (TokenStream::Pc, pc, &self.pc_emb, features.pc),
+            (TokenStream::Page, page, &self.page_emb, features.address),
+            (
+                TokenStream::Offset,
+                offset,
+                &self.offset_emb,
+                features.address,
+            ),
+        ] {
+            if tokens.len() != seq_len {
+                return Err(InvalidWindow::Length {
+                    stream,
+                    len: tokens.len(),
+                    seq_len,
+                });
+            }
+            let vocab = emb.vocab();
+            if let Some(&token) = tokens.iter().find(|&&t| looked_up && t >= vocab) {
+                return Err(InvalidWindow::Token {
+                    stream,
+                    token,
+                    vocab,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// The configuration this model was built with.
@@ -671,6 +772,38 @@ mod tests {
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), m.store().len(), "a parameter appears twice");
+    }
+
+    #[test]
+    fn check_window_accepts_exactly_what_the_model_can_run() {
+        let cfg = VoyagerConfig::test();
+        let m = VoyagerModel::new(&cfg, 16, 32, 64);
+        let l = cfg.seq_len;
+        let w = |token: usize| vec![token; l];
+        assert_eq!(m.check_window(&w(15), &w(31), &w(63)), Ok(()));
+        assert_eq!(
+            m.check_window(&w(0), &w(32), &w(0)),
+            Err(InvalidWindow::Token {
+                stream: TokenStream::Page,
+                token: 32,
+                vocab: 32
+            })
+        );
+        assert_eq!(
+            m.check_window(&w(0), &w(0), &w(0)[1..]),
+            Err(InvalidWindow::Length {
+                stream: TokenStream::Offset,
+                len: l - 1,
+                seq_len: l
+            })
+        );
+        // Without the PC feature the model never looks a PC up.
+        let no_pc = cfg.with_features(FeatureSet {
+            pc: false,
+            address: true,
+        });
+        let m = VoyagerModel::new(&no_pc, 16, 32, 64);
+        assert_eq!(m.check_window(&w(99), &w(0), &w(0)), Ok(()));
     }
 
     #[test]

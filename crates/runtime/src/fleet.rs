@@ -36,6 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use voyager::InvalidWindow;
 use voyager_obs::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 
 use crate::microbatch::{
@@ -46,10 +47,7 @@ use crate::serve::{
     InferenceRequest, PredictMode, ServiceConfig, ServiceConfigError, VoyagerService, WorkloadId,
 };
 
-/// Per-request prediction candidates, as returned by
-/// [`VoyagerService`]: up to `degree` `(page_token, offset_token,
-/// score)` triples.
-pub type Candidates = Vec<(u32, u32, f32)>;
+pub use crate::serve::Candidates;
 
 /// Static description of one fleet shard.
 #[derive(Debug, Clone)]
@@ -124,6 +122,9 @@ pub enum FleetError {
     Shed(ShedReason),
     /// The shard's server thread stopped before responding.
     ShardStopped,
+    /// The shard's model cannot run the request's window; the shard
+    /// served the rest of its batch and keeps serving.
+    InvalidRequest(InvalidWindow),
     /// Two [`ShardSpec`]s named the same workload.
     DuplicateWorkload(WorkloadId),
     /// Registry lookup or artifact instantiation failed.
@@ -141,6 +142,7 @@ impl std::fmt::Display for FleetError {
                 write!(f, "shed: predicted completion exceeds SLO")
             }
             FleetError::ShardStopped => write!(f, "shard server stopped"),
+            FleetError::InvalidRequest(e) => write!(f, "invalid request: {e}"),
             FleetError::DuplicateWorkload(w) => {
                 write!(f, "duplicate shard spec for workload {w}")
             }
@@ -155,6 +157,7 @@ impl std::error::Error for FleetError {
         match self {
             FleetError::Registry(e) => Some(e),
             FleetError::Service(e) => Some(e),
+            FleetError::InvalidRequest(e) => Some(e),
             _ => None,
         }
     }
@@ -256,8 +259,10 @@ impl FleetClient {
     ///
     /// [`FleetError::UnknownWorkload`] for an unrouted workload,
     /// [`FleetError::Shed`] when admission control or the bounded
-    /// queue rejects the request (nothing was enqueued), and
-    /// [`FleetError::ShardStopped`] if the shard's server exited.
+    /// queue rejects the request (nothing was enqueued),
+    /// [`FleetError::InvalidRequest`] when the shard's model cannot run
+    /// the request's window, and [`FleetError::ShardStopped`] if the
+    /// shard's server exited.
     pub fn infer(&self, request: InferenceRequest) -> Result<Candidates, FleetError> {
         let Some(lane) = self.route(request.workload) else {
             return Err(FleetError::UnknownWorkload(request.workload));
@@ -273,7 +278,7 @@ impl FleetClient {
         match outcome {
             Ok(response) => {
                 lane.gate.note_served(started.elapsed());
-                Ok(response)
+                response.map_err(FleetError::InvalidRequest)
             }
             Err(SubmitError::QueueFull) => {
                 lane.gate.note_shed(ShedReason::QueueFull);
@@ -343,9 +348,9 @@ impl ShardModel {
 
 impl BatchModel for ShardModel {
     type Request = InferenceRequest;
-    type Response = Candidates;
+    type Response = Result<Candidates, InvalidWindow>;
 
-    fn forward_batch(&mut self, requests: &[InferenceRequest]) -> Vec<Candidates> {
+    fn forward_batch(&mut self, requests: &[InferenceRequest]) -> Vec<Self::Response> {
         // Hot-swap check: one Acquire load per *batch*, nothing per
         // row. In-flight batches (this one included) finish on the
         // version they started with.
@@ -773,5 +778,92 @@ mod tests {
         drop(client);
         let stats = server.join();
         assert!(stats.shards[0].table_absent);
+    }
+
+    #[test]
+    fn malformed_requests_get_a_typed_error_and_every_mode_keeps_serving() {
+        use voyager::{SeqBatch, TokenStream};
+        use voyager_distill::{distill, TableConfig};
+
+        let seq_len = VoyagerConfig::test().seq_len;
+        let modes = [
+            PredictMode::FastF32,
+            PredictMode::FastInt8,
+            PredictMode::Table,
+        ];
+        let registry = Arc::new(ModelRegistry::new());
+        let mut model = spec().instantiate();
+        // Tables over the valid requests' windows, so the table shard
+        // answers them from its tables.
+        let valid = [request(WorkloadId(0), 0), request(WorkloadId(0), 1)];
+        let corpus = SeqBatch {
+            pc: valid.iter().map(|r| r.pc.clone()).collect(),
+            page: valid.iter().map(|r| r.page.clone()).collect(),
+            offset: valid.iter().map(|r| r.offset.clone()).collect(),
+        };
+        let (tables, _) = distill(&mut model, &corpus, &TableConfig::for_budget(1 << 16));
+        let mut specs = Vec::new();
+        for (i, mode) in modes.into_iter().enumerate() {
+            let w = WorkloadId(i as u32);
+            let shard_tables = (mode == PredictMode::Table).then(|| tables.clone());
+            registry.publish(w, &spec(), &model, shard_tables).unwrap();
+            specs.push(ShardSpec::new(w, 2, mode));
+        }
+        let (server, client) =
+            FleetServer::spawn(&registry, &specs, &FleetConfig::default()).unwrap();
+        let token = |stream, token, vocab| InvalidWindow::Token {
+            stream,
+            token,
+            vocab,
+        };
+        type Corrupt = fn(&mut InferenceRequest);
+        let bad: [(Corrupt, InvalidWindow); 5] = [
+            (|r| r.pc[0] = 16, token(TokenStream::Pc, 16, 16)),
+            (|r| r.page[1] = 999, token(TokenStream::Page, 999, 32)),
+            (|r| r.offset[2] = 64, token(TokenStream::Offset, 64, 64)),
+            (
+                |r| {
+                    r.pc.clear();
+                    r.page.clear();
+                    r.offset.clear();
+                },
+                InvalidWindow::Length {
+                    stream: TokenStream::Pc,
+                    len: 0,
+                    seq_len,
+                },
+            ),
+            (
+                |r| {
+                    r.pc.pop();
+                    r.page.pop();
+                    r.offset.pop();
+                },
+                InvalidWindow::Length {
+                    stream: TokenStream::Pc,
+                    len: seq_len - 1,
+                    seq_len,
+                },
+            ),
+        ];
+        for spec in &specs {
+            let w = spec.workload;
+            for (corrupt, expected) in &bad {
+                assert_eq!(client.infer(request(w, 0)).unwrap().len(), 2);
+                let mut r = request(w, 0);
+                corrupt(&mut r);
+                match client.infer(r) {
+                    Err(FleetError::InvalidRequest(e)) => assert_eq!(e, *expected),
+                    other => panic!("{:?}: {other:?}", spec.mode),
+                }
+                assert_eq!(client.infer(request(w, 1)).unwrap().len(), 2);
+            }
+        }
+        drop(client);
+        let stats = server.join();
+        for shard in &stats.shards {
+            assert_eq!(shard.server.requests, 3 * bad.len());
+            assert!(!shard.table_absent);
+        }
     }
 }

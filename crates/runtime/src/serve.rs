@@ -1,6 +1,6 @@
 //! [`BatchModel`] adapter for serving a trained Voyager model.
 
-use voyager::{SeqBatch, VoyagerModel};
+use voyager::{InvalidWindow, SeqBatch, VoyagerModel};
 use voyager_distill::{note_table_fallback_rows, DistilledTables};
 
 use crate::microbatch::BatchModel;
@@ -21,9 +21,15 @@ impl std::fmt::Display for WorkloadId {
     }
 }
 
+/// Per-request prediction candidates: up to `degree` `(page_token,
+/// offset_token, score)` triples.
+pub type Candidates = Vec<(u32, u32, f32)>;
+
 /// One inference request: a tokenized history window (all three token
 /// streams, each `seq_len` long — the same shape as one row of a
-/// [`SeqBatch`]) plus a routing envelope.
+/// [`SeqBatch`]) plus a routing envelope. The model decides what it
+/// can run ([`VoyagerModel::check_window`]); a window it cannot is
+/// answered with that [`InvalidWindow`].
 ///
 /// The same request type flows through both serving paths: a
 /// standalone [`VoyagerService`] ignores `workload`, while the fleet
@@ -168,32 +174,31 @@ impl ServiceConfig {
             mode: self.mode,
             batch: SeqBatch::default(),
             tables: self.tables,
-            fallback_batch: SeqBatch::default(),
-            fallback_rows: Vec::new(),
+            model_rows: Vec::new(),
         })
     }
 }
 
 /// Wraps a trained [`VoyagerModel`] as a [`BatchModel`]: coalesced
 /// requests become one [`SeqBatch`] and one batched predict call,
-/// dispatched per [`PredictMode`].
+/// dispatched per [`PredictMode`]. A request the model cannot run is
+/// answered with its [`InvalidWindow`]; the rest of its batch is
+/// served as if it had not been there.
 #[derive(Debug)]
 pub struct VoyagerService {
     model: VoyagerModel,
     degree: usize,
     mode: PredictMode,
-    /// Reused across batches so steady-state serving does not
-    /// reallocate the request staging area (rows shrink/grow in place).
+    /// The rows a batch sends through the neural path, reused across
+    /// batches so steady-state serving does not reallocate the staging
+    /// area (rows shrink/grow in place).
     batch: SeqBatch,
     /// Distilled tables for [`PredictMode::Table`]; `None` in the
     /// neural modes (the builder guarantees table mode always has
     /// them).
     tables: Option<DistilledTables>,
-    /// Staging for the rows of a table-mode batch that missed the
-    /// tables, reused like `batch`.
-    fallback_batch: SeqBatch,
-    /// Original batch positions of `fallback_batch`'s rows.
-    fallback_rows: Vec<usize>,
+    /// Request positions of `batch`'s rows.
+    model_rows: Vec<usize>,
 }
 
 impl VoyagerService {
@@ -214,50 +219,73 @@ impl VoyagerService {
         self.model.fast_path_arena_stats()
     }
 
-    /// Table-mode dispatch: serve each row from the tables where
-    /// possible, then run the missing rows (if any) through the int8
-    /// fast path as one sub-batch and merge in request order. The
-    /// blocked GEMM kernels are bitwise-identical per row for any
-    /// batch size, so a fallback row's answer equals what a full-batch
-    /// int8 call would have produced for it.
-    fn forward_table(&mut self) -> Vec<Vec<(u32, u32, f32)>> {
-        let n = self.batch.len();
-        let mut out: Vec<Vec<(u32, u32, f32)>> = vec![Vec::new(); n];
-        self.fallback_rows.clear();
-        for (i, row) in out.iter_mut().enumerate().take(n) {
-            let hit = self.tables.as_ref().and_then(|t| {
-                let pc = self.batch.pc[i].last().copied()?;
-                // A path call: the analyzer resolves `t.predict(..)` by
-                // name, which would link the model-side `predict`s too.
-                DistilledTables::predict(t, &self.batch.page[i], pc, self.degree)
-            });
-            match hit {
-                Some(preds) => *row = preds,
-                None => self.fallback_rows.push(i),
-            }
+    /// Answers a batch in request order, tier by tier. A request whose
+    /// window the model cannot run gets its [`InvalidWindow`]. In table
+    /// mode, a row the tables cover gets their answer. Every other row
+    /// is staged into one sub-batch for the neural path: `predict_fast`
+    /// in [`PredictMode::FastF32`], `predict_int8` in
+    /// [`PredictMode::FastInt8`] and as the table mode's fallback. The
+    /// kernels are bitwise-identical per row for any batch size, so a
+    /// row's answer does not depend on the rows that share its
+    /// sub-batch.
+    ///
+    /// Every mode answers through here, although only table mode has
+    /// the tier the function is named for: it builds `forward_batch`'s
+    /// reply vector, the one allocation the analyzer sanctions on this
+    /// path, and the walk still enters everything it calls.
+    fn forward_table(
+        &mut self,
+        requests: &[InferenceRequest],
+    ) -> Vec<Result<Candidates, InvalidWindow>> {
+        let mut out = Vec::with_capacity(requests.len());
+        self.model_rows.clear();
+        for (i, r) in requests.iter().enumerate() {
+            let reply = self
+                .model
+                .check_window(&r.pc, &r.page, &r.offset)
+                .map(|()| {
+                    // A path call: the analyzer resolves `t.predict(..)` by
+                    // name, which would link the model-side `predict`s too.
+                    let hit = self.tables.as_ref().and_then(|t| {
+                        DistilledTables::predict(t, &r.page, *r.pc.last()?, self.degree)
+                    });
+                    hit.unwrap_or_else(|| {
+                        self.model_rows.push(i);
+                        Vec::new()
+                    })
+                });
+            out.push(reply);
         }
-        if self.fallback_rows.is_empty() {
+        let m = self.model_rows.len();
+        if m == 0 {
             return out;
         }
-        note_table_fallback_rows(self.fallback_rows.len() as u64);
-        let m = self.fallback_rows.len();
-        self.fallback_batch.pc.truncate(m);
-        self.fallback_batch.page.truncate(m);
-        self.fallback_batch.offset.truncate(m);
-        self.fallback_batch.pc.resize_with(m, Vec::new);
-        self.fallback_batch.page.resize_with(m, Vec::new);
-        self.fallback_batch.offset.resize_with(m, Vec::new);
-        for (j, &i) in self.fallback_rows.iter().enumerate() {
-            self.fallback_batch.pc[j].clear();
-            self.fallback_batch.pc[j].extend_from_slice(&self.batch.pc[i]);
-            self.fallback_batch.page[j].clear();
-            self.fallback_batch.page[j].extend_from_slice(&self.batch.page[i]);
-            self.fallback_batch.offset[j].clear();
-            self.fallback_batch.offset[j].extend_from_slice(&self.batch.offset[i]);
+        if self.mode == PredictMode::Table {
+            note_table_fallback_rows(m as u64);
         }
-        let fallback = self.model.predict_int8(&self.fallback_batch, self.degree);
-        for (&i, preds) in self.fallback_rows.iter().zip(fallback) {
-            out[i] = preds;
+        self.batch.pc.truncate(m);
+        self.batch.page.truncate(m);
+        self.batch.offset.truncate(m);
+        self.batch.pc.resize_with(m, Vec::new);
+        self.batch.page.resize_with(m, Vec::new);
+        self.batch.offset.resize_with(m, Vec::new);
+        for (j, &i) in self.model_rows.iter().enumerate() {
+            let r = &requests[i];
+            self.batch.pc[j].clear();
+            self.batch.pc[j].extend_from_slice(&r.pc);
+            self.batch.page[j].clear();
+            self.batch.page[j].extend_from_slice(&r.page);
+            self.batch.offset[j].clear();
+            self.batch.offset[j].extend_from_slice(&r.offset);
+        }
+        let answers = match self.mode {
+            PredictMode::FastF32 => self.model.predict_fast(&self.batch, self.degree),
+            PredictMode::FastInt8 | PredictMode::Table => {
+                self.model.predict_int8(&self.batch, self.degree)
+            }
+        };
+        for (&i, answer) in self.model_rows.iter().zip(answers) {
+            out[i] = Ok(answer);
         }
         out
     }
@@ -265,29 +293,45 @@ impl VoyagerService {
 
 impl BatchModel for VoyagerService {
     type Request = InferenceRequest;
-    /// Up to `degree` `(page_token, offset_token, score)` candidates.
-    type Response = Vec<(u32, u32, f32)>;
+    /// Up to `degree` candidates, or why the request's window cannot
+    /// be served.
+    type Response = Result<Candidates, InvalidWindow>;
 
     fn forward_batch(&mut self, requests: &[InferenceRequest]) -> Vec<Self::Response> {
-        let n = requests.len();
-        self.batch.pc.truncate(n);
-        self.batch.page.truncate(n);
-        self.batch.offset.truncate(n);
-        self.batch.pc.resize_with(n, Vec::new);
-        self.batch.page.resize_with(n, Vec::new);
-        self.batch.offset.resize_with(n, Vec::new);
-        for (i, r) in requests.iter().enumerate() {
-            self.batch.pc[i].clear();
-            self.batch.pc[i].extend_from_slice(&r.pc);
-            self.batch.page[i].clear();
-            self.batch.page[i].extend_from_slice(&r.page);
-            self.batch.offset[i].clear();
-            self.batch.offset[i].extend_from_slice(&r.offset);
-        }
-        match self.mode {
-            PredictMode::FastF32 => self.model.predict_fast(&self.batch, self.degree),
-            PredictMode::FastInt8 => self.model.predict_int8(&self.batch, self.degree),
-            PredictMode::Table => self.forward_table(),
+        self.forward_table(requests)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use voyager::{TokenStream, VoyagerConfig};
+
+    #[test]
+    fn a_malformed_request_leaves_the_rest_of_its_batch_as_served_alone() {
+        let cfg = VoyagerConfig::test();
+        let window = |t: usize| InferenceRequest {
+            workload: WorkloadId(0),
+            pc: vec![t % 16; cfg.seq_len],
+            page: vec![(3 * t) % 32; cfg.seq_len],
+            offset: vec![(5 * t) % 64; cfg.seq_len],
+        };
+        let mut bad = window(2);
+        bad.page[0] = 32;
+        let rejected = InvalidWindow::Token {
+            stream: TokenStream::Page,
+            token: 32,
+            vocab: 32,
+        };
+        for mode in [PredictMode::FastF32, PredictMode::FastInt8] {
+            let mut svc = ServiceConfig::new(2)
+                .mode(mode)
+                .build(VoyagerModel::new(&cfg, 16, 32, 64))
+                .expect("neural modes need no tables");
+            let mut alone = |t| svc.forward_batch(&[window(t)]).remove(0);
+            let (first, second) = (alone(0), alone(1));
+            let mixed = svc.forward_batch(&[window(0), bad.clone(), window(1)]);
+            assert_eq!(mixed, [first, Err(rejected), second], "{mode:?}");
         }
     }
 }

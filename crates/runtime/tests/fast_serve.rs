@@ -54,11 +54,17 @@ fn serve_steady(mode: PredictMode, n: usize) -> (Vec<Candidates>, u64) {
         max_delay: Duration::from_millis(1),
     };
     let (server, client) = MicrobatchServer::spawn(service, mb);
-    let warmup = client.infer(request(0)).expect("warmup response");
+    let answer = |t| {
+        client
+            .infer(request(t))
+            .expect("response")
+            .expect("well-formed request")
+    };
+    let warmup = answer(0);
     let grown_before = infer::arena_grow_events();
     let mut responses = vec![warmup];
     for t in 1..n {
-        responses.push(client.infer(request(t)).expect("response"));
+        responses.push(answer(t));
     }
     let grown_after = infer::arena_grow_events();
     drop(client);

@@ -8,7 +8,7 @@
 use voyager::{SeqBatch, VoyagerConfig, VoyagerModel};
 use voyager_distill::{distill, TableConfig};
 use voyager_runtime::{
-    BatchModel, InferenceRequest, PredictMode, ServiceConfig, ServiceConfigError,
+    BatchModel, InferenceRequest, PredictMode, ServiceConfig, ServiceConfigError, VoyagerService,
 };
 
 const DEGREE: usize = 2;
@@ -62,6 +62,14 @@ fn to_requests(batch: &SeqBatch) -> Vec<InferenceRequest> {
         .collect()
 }
 
+/// Serves `requests` as one batch; every one of them is well-formed.
+fn serve(svc: &mut VoyagerService, requests: &[InferenceRequest]) -> Vec<Vec<(u32, u32, f32)>> {
+    svc.forward_batch(requests)
+        .into_iter()
+        .map(|answer| answer.expect("well-formed request"))
+        .collect()
+}
+
 #[test]
 fn table_miss_falls_back_to_exact_int8_predictions() {
     let _guard = fallback_counter_lock();
@@ -93,7 +101,7 @@ fn table_miss_falls_back_to_exact_int8_predictions() {
         .build(model)
         .expect("table mode with tables attached");
     assert_eq!(svc.mode(), PredictMode::Table);
-    let got = svc.forward_batch(&to_requests(&probe));
+    let got = serve(&mut svc, &to_requests(&probe));
     assert_eq!(
         got, expected,
         "fallback rows must return the int8 path's exact predictions"
@@ -132,7 +140,7 @@ fn table_hits_agree_with_the_teacher_and_mix_with_fallbacks() {
     let mut mixed = to_requests(&corpus);
     mixed.truncate(4);
     mixed.extend(to_requests(&miss_probe));
-    let got = svc.forward_batch(&mixed);
+    let got = serve(&mut svc, &mixed);
     assert_eq!(got.len(), 5);
     for (row, resp) in got.iter().take(4).enumerate() {
         assert!(!resp.is_empty());
