@@ -107,7 +107,8 @@ pub struct FleetLoad {
     pub ok: usize,
     /// Requests shed by admission control.
     pub shed: usize,
-    /// Requests that failed any other way (a shard stopped).
+    /// Requests that failed any other way (a shard stopped, or its
+    /// model could not run the request's window).
     pub other: usize,
 }
 
