@@ -101,7 +101,7 @@ const SANCTIONED_FNS: &[&str] = &[
     "rank_row_sparse",
     "rank_from_arena",
     "predict_quiet",
-    "forward_table",
+    "answer_batch",
 ];
 
 /// Calls the hot-path walk does not enter: `prepare_int8` is one-time

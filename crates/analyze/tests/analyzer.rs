@@ -236,7 +236,7 @@ fn sanctioned_surface_is_pinned() {
             "rank_row_sparse",
             "rank_from_arena",
             "predict_quiet",
-            "forward_table"
+            "answer_batch"
         ]
     );
     assert_eq!(

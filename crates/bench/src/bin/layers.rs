@@ -2,8 +2,8 @@
 //! paper's cost argument (Sections 5.4 and 5.5) rests on, one section
 //! per layer, in this order:
 //!
-//! - `kernels`: GEMM GFLOP/s (naive, scalar, blocked, parallel) per
-//!   layout and size, a training step on the scalar vs the dispatched
+//! - `kernels`: GEMM GFLOP/s (naive, scalar, blocked) per layout and
+//!   size, a training step on the scalar vs the dispatched
 //!   kernels, and microbatched serving of a test-scale model.
 //! - `inference`: direct single-row calls through the tape, fast-f32
 //!   and int8 paths (p50 and heap bytes per call), the two fast paths
@@ -46,8 +46,8 @@ use voyager_bench::{fleet_demo, mode_name};
 use voyager_distill::{distill, DistillReport, DistilledTables, TableConfig};
 use voyager_obs::json::{escape, fmt_f64, validate};
 use voyager_runtime::{
-    par_gemm, ChunkPool, FleetConfig, FleetServer, FleetStats, MicrobatchConfig, ModelRegistry,
-    PredictMode, ServerStats, ServiceConfig, ShardSpec, VoyagerService, WorkloadId,
+    FleetConfig, FleetServer, FleetStats, MicrobatchConfig, ModelRegistry, PredictMode,
+    ServerStats, ServiceConfig, ShardSpec, VoyagerService, WorkloadId,
 };
 use voyager_tensor::kernels::{self, Layout};
 use voyager_tensor::rng::{thread_rng, Rng, SeedableRng, StdRng};
@@ -343,8 +343,8 @@ const ONE_AT_A_TIME: MicrobatchConfig = MicrobatchConfig {
 struct GemmRow {
     layout: Layout,
     size: usize,
-    /// Best-of-3 seconds per call: naive, scalar, blocked, parallel.
-    secs: [f64; 4],
+    /// Best-of-3 seconds per call: naive, scalar, blocked.
+    secs: [f64; 3],
 }
 
 /// Two random `size`x`size` operands (every layout of a square product
@@ -363,71 +363,19 @@ fn fast_iters(iters: usize, size: usize) -> usize {
     ((iters * 512 * 512 * 512) / (size * size * size)).clamp(iters, 1000)
 }
 
-/// Best-of-3 seconds per call of the dispatched blocked kernel and of
-/// `par_gemm` on fresh `size`³ operands, plus the naive and
-/// scalar-forced paths when `all_paths` (`[naive, scalar, blocked,
-/// parallel]`, zero where skipped).
-fn time_gemm(
-    size: usize,
-    layout: Layout,
-    iters: usize,
-    pool: &ChunkPool,
-    all_paths: bool,
-) -> [f64; 4] {
+/// Best-of-3 seconds per call on fresh `size`³ operands of the naive
+/// kernel, the scalar-forced kernels and the dispatched ones
+/// (`[naive, scalar, blocked]`).
+fn time_gemm(size: usize, layout: Layout, iters: usize) -> [f64; 3] {
     let (a, b) = operands(size);
     let mut out = Tensor2::zeros(size, size);
-    let mut secs = [0.0; 4];
     let fast = fast_iters(iters, size);
-    if all_paths {
-        secs[0] = best_of_3(iters, || kernels::naive_gemm(&a, &b, layout, &mut out));
-        kernels::set_force_scalar(true);
-        secs[1] = best_of_3(fast, || kernels::gemm(&a, &b, layout, &mut out));
-        kernels::set_force_scalar(false);
-    }
-    secs[2] = best_of_3(fast, || kernels::gemm(&a, &b, layout, &mut out));
-    secs[3] = best_of_3(fast, || par_gemm(pool, &a, &b, layout, &mut out));
-    secs
-}
-
-/// Whether parallel GEMM is bitwise-identical to the single-threaded
-/// kernel and stable across repeated runs at fixed thread counts.
-/// Explicit multi-thread pools exercise the chunked path even on a
-/// single-core host; 144³ clears the work-scaled fan-out threshold
-/// several times.
-fn parallel_is_bitwise_identical() -> bool {
-    let (a, b) = operands(144);
-    let mut reference = Tensor2::zeros(1, 1);
-    kernels::gemm(&a, &b, Layout::NN, &mut reference);
-    [2, 4, 8].into_iter().all(|threads| {
-        let pool = ChunkPool::new(threads);
-        (0..3).all(|_| {
-            let mut out = Tensor2::zeros(1, 1);
-            par_gemm(&pool, &a, &b, Layout::NN, &mut out);
-            let bits = |t: &Tensor2| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            bits(&out) == bits(&reference)
-        })
-    })
-}
-
-/// `par_gemm` must never fall meaningfully behind the single-thread
-/// blocked kernel in any layout/size cell: below the work threshold it
-/// runs blocked on the calling thread, and above it the chunk fan is
-/// scaled to the available work. A cell under 0.9x blocked is
-/// re-measured (blocked and parallel, on fresh operands) up to 3 times
-/// so a noisy scheduler alone cannot fail it; the gate reads the last
-/// measurement.
-fn parallel_vs_blocked(row: &GemmRow, pool: &ChunkPool, iters: usize) -> Gate {
-    let name = format!("kernels.parallel_vs_blocked.{:?}/{}", row.layout, row.size);
-    let mut ratio = row.secs[2] / row.secs[3];
-    for _ in 0..3 {
-        if ratio >= 0.9 {
-            break;
-        }
-        println!("{name}: parallel {ratio:.2}x blocked < 0.9x, re-measuring");
-        let secs = time_gemm(row.size, row.layout, iters, pool, false);
-        ratio = secs[2] / secs[3];
-    }
-    Gate::at_least(name, ratio, 0.9)
+    let naive = best_of_3(iters, || kernels::naive_gemm(&a, &b, layout, &mut out));
+    kernels::set_force_scalar(true);
+    let scalar = best_of_3(fast, || kernels::gemm(&a, &b, layout, &mut out));
+    kernels::set_force_scalar(false);
+    let blocked = best_of_3(fast, || kernels::gemm(&a, &b, layout, &mut out));
+    [naive, scalar, blocked]
 }
 
 /// Seconds per `train_multi` step of the scaled config on a fixed
@@ -456,30 +404,19 @@ fn time_training(iters: usize) -> (usize, f64, f64) {
     (b, step(true), step(false))
 }
 
-fn kernels_section(smoke: bool, gates: &mut Vec<Gate>) -> Json {
+fn kernels_section(smoke: bool) -> Json {
     let (sizes, iters, train_iters, requests): (&[usize], _, _, _) = if smoke {
         (&[64, 256], 2, 2, 64)
     } else {
         (&[64, 128, 256, 512], 5, 8, 512)
     };
-    let pool = ChunkPool::with_available_parallelism();
     let mut rows = Vec::new();
     for &size in sizes {
         for layout in [Layout::NN, Layout::TN, Layout::NT] {
-            let secs = time_gemm(size, layout, iters, &pool, true);
+            let secs = time_gemm(size, layout, iters);
             rows.push(GemmRow { layout, size, secs });
         }
     }
-    let identical = parallel_is_bitwise_identical();
-    gates.push(Gate::exactly(
-        "kernels.parallel_bitwise_identical",
-        f64::from(u8::from(identical)),
-        1.0,
-    ));
-    gates.extend(
-        rows.iter()
-            .map(|row| parallel_vs_blocked(row, &pool, iters.max(3))),
-    );
 
     let (batch_size, scalar_s, blocked_s) = time_training(train_iters);
     // Later sections time the dispatched kernels: leave scalar off.
@@ -503,9 +440,7 @@ fn kernels_section(smoke: bool, gates: &mut Vec<Gate>) -> Json {
             ("naive_gflops", num(gflops(r.secs[0]))),
             ("scalar_gflops", num(gflops(r.secs[1]))),
             ("blocked_gflops", num(gflops(r.secs[2]))),
-            ("parallel_gflops", num(gflops(r.secs[3]))),
             ("speedup", num(r.secs[0] / r.secs[2])),
-            ("threads", int(pool.threads())),
             ("dispatch", dispatch()),
         ])
     });
@@ -519,7 +454,6 @@ fn kernels_section(smoke: bool, gates: &mut Vec<Gate>) -> Json {
     serve.push(("mean_batch", num(stats.mean_batch_size())));
     Json::Object(vec![
         ("gemm", Json::Array(gemm.collect())),
-        ("parallel_bitwise_identical", int(identical)),
         ("training", training),
         ("serve", Json::Object(serve)),
     ])
@@ -1145,12 +1079,12 @@ fn vocab_section(smoke: bool, gates: &mut Vec<Gate>) -> Json {
 // report
 // ---------------------------------------------------------------------
 
-/// Renders the whole report: `schema_version` 1, the run mode, one
+/// Renders the whole report: `schema_version` 2, the run mode, one
 /// object per section, and the evaluated gates.
 fn render(mode: &str, sections: Vec<(&'static str, Json)>, gates: &[Gate]) -> String {
     let mut fields = vec![
         ("bench", text("layers")),
-        ("schema_version", int(1)),
+        ("schema_version", int(2)),
         ("mode", text(mode)),
     ];
     fields.extend(sections);
@@ -1197,7 +1131,7 @@ fn main() -> ExitCode {
         sections.push((name, json));
         clock = Instant::now();
     };
-    done("kernels", kernels_section(smoke, &mut gates));
+    done("kernels", kernels_section(smoke));
     let (inference, mut shared) = inference_section(smoke, &mut gates);
     done("inference", inference);
     done("tables", tables_section(smoke, &mut shared, &mut gates));
@@ -1251,7 +1185,7 @@ mod tests {
         std::fs::remove_file(&path).expect("remove the test output");
         assert_eq!(code, ExitCode::FAILURE);
         assert_eq!(written, json);
-        assert!(json.contains("\"schema_version\": 1"));
+        assert!(json.contains("\"schema_version\": 2"));
         assert!(json.contains(
             "{\"name\": \"echo.requests\", \"value\": 16.000, \"limit\": 16.000, \"pass\": true}"
         ));

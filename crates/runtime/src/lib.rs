@@ -15,10 +15,8 @@
 //!   and reports throughput and p50/p99 latency; [`serve`] adapts a
 //!   trained [`VoyagerModel`](voyager::VoyagerModel) to it.
 //! * [`pool`] — a deterministic, work-stealing-free chunked thread
-//!   pool ([`ChunkPool`]) for intra-op parallelism, plus [`par_gemm`],
-//!   a row-partitioned parallel GEMM that is bitwise-identical to the
-//!   single-threaded kernel at any thread count. The trainer reuses it
-//!   to run its model replicas.
+//!   pool ([`ChunkPool`]) on which the trainer runs its model
+//!   replicas.
 //! * [`checkpoint`] — atomic numbered snapshots of model + optimizer
 //!   state with retention and restore-latest; distilled table
 //!   snapshots (`voyager-distill`) ride the same discipline.
@@ -65,10 +63,9 @@ pub use fleet::{
 };
 pub use lockorder::{LockRank, OrderedMutex};
 pub use microbatch::{
-    BatchModel, ClientHandle, LiveStats, MicrobatchConfig, MicrobatchServer, ServerStats,
-    SubmitError,
+    BatchModel, ClientHandle, MicrobatchConfig, MicrobatchServer, ServerStats, SubmitError,
 };
-pub use pool::{par_gemm, ChunkPool};
+pub use pool::ChunkPool;
 pub use registry::{ModelRegistry, ModelSpec, RegistryError, ShardArtifact, Version};
 pub use serve::{
     InferenceRequest, PredictMode, ServiceConfig, ServiceConfigError, VoyagerService, WorkloadId,

@@ -33,8 +33,6 @@ pub mod ranks {
     /// a publisher may hold it while writing checkpoints, and a shard
     /// adopting a new version resolves before touching server state.
     pub const MODEL_REGISTRY: LockRank = LockRank(5);
-    /// Serving-statistics counters published by the microbatch server.
-    pub const SERVER_STATS: LockRank = LockRank(10);
     /// Checkpoint-manager directory state (reserved; the manager is
     /// currently single-threaded).
     pub const CHECKPOINT_DIR: LockRank = LockRank(20);
@@ -227,7 +225,7 @@ mod tests {
 
     #[test]
     fn ranks_are_orderable_and_threads_are_independent() {
-        assert!(ranks::SERVER_STATS < ranks::CHECKPOINT_DIR);
+        assert!(ranks::MODEL_REGISTRY < ranks::CHECKPOINT_DIR);
         let (low, high) = two_locks();
         let _b = high.lock();
         // Another thread's held set is its own: taking `low` there is

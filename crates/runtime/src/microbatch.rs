@@ -19,8 +19,6 @@ use std::time::{Duration, Instant};
 
 use voyager_obs::{Histogram, HistogramSnapshot};
 
-use crate::lockorder::{ranks, OrderedMutex};
-
 /// A model that can serve a whole batch of requests in one forward
 /// pass. Implementations run on the server thread, so they may be
 /// freely stateful and `&mut`.
@@ -119,16 +117,6 @@ impl ServerStats {
     pub fn compute_quantile(&self, q: f64) -> Duration {
         Duration::from_nanos(self.compute.quantile(q))
     }
-}
-
-/// A point-in-time snapshot of a running server's counters, taken with
-/// [`MicrobatchServer::live_stats`] without stopping the server.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LiveStats {
-    /// Requests served so far.
-    pub requests: usize,
-    /// Batched forward passes executed so far.
-    pub batches: usize,
 }
 
 struct Envelope<M: BatchModel> {
@@ -249,7 +237,6 @@ impl<M: BatchModel> ClientHandle<M> {
 /// coalescing. See the module docs.
 pub struct MicrobatchServer {
     handle: JoinHandle<ServerStats>,
-    live: Arc<OrderedMutex<LiveStats>>,
 }
 
 impl MicrobatchServer {
@@ -260,12 +247,6 @@ impl MicrobatchServer {
         let (tx, rx) = mpsc::channel::<Envelope<M>>();
         let depth = Arc::new(AtomicI64::new(0));
         let depth_server = depth.clone();
-        let live = Arc::new(OrderedMutex::new(
-            "microbatch-live-stats",
-            ranks::SERVER_STATS,
-            LiveStats::default(),
-        ));
-        let live_writer = live.clone();
         let handle = std::thread::spawn(move || {
             let started = Instant::now();
             let mut requests = 0usize;
@@ -320,11 +301,6 @@ impl MicrobatchServer {
                 );
                 requests += payloads.len();
                 batches += 1;
-                {
-                    let mut live = live_writer.lock();
-                    live.requests = requests;
-                    live.batches = batches;
-                }
                 let now = Instant::now();
                 for ((enqueued, reply), response) in meta.into_iter().zip(responses) {
                     latency.record(duration_ns(now.duration_since(enqueued)));
@@ -344,17 +320,7 @@ impl MicrobatchServer {
                 compute: compute.snapshot(),
             }
         });
-        (
-            MicrobatchServer { handle, live },
-            ClientHandle { tx, depth },
-        )
-    }
-
-    /// Snapshots the running server's counters. Safe to call from any
-    /// thread at any time; the server publishes after each batch, so
-    /// the snapshot trails in-flight work by at most one batch.
-    pub fn live_stats(&self) -> LiveStats {
-        *self.live.lock()
+        (MicrobatchServer { handle }, ClientHandle { tx, depth })
     }
 
     /// Waits for the server to finish (it stops when every
@@ -457,34 +423,6 @@ mod tests {
         assert!(sizes.lock().unwrap().is_empty());
         assert_eq!(stats.latency_quantile(0.5), Duration::ZERO);
         assert_eq!(stats.throughput(), 0.0);
-    }
-
-    #[test]
-    fn live_stats_track_progress_while_serving() {
-        let (model, _) = echo();
-        let cfg = MicrobatchConfig {
-            max_batch: 1,
-            max_delay: Duration::from_millis(1),
-        };
-        let (server, client) = MicrobatchServer::spawn(model, cfg);
-        assert_eq!(server.live_stats(), LiveStats::default());
-        // Counters are published before replies fan out, so once a
-        // response arrives the snapshot must include its batch.
-        assert_eq!(client.infer(1), Some(2));
-        let live = server.live_stats();
-        assert_eq!(
-            live,
-            LiveStats {
-                requests: 1,
-                batches: 1
-            }
-        );
-        assert_eq!(client.infer(2), Some(3));
-        assert_eq!(server.live_stats().requests, 2);
-        drop(client);
-        let stats = server.join();
-        assert_eq!(stats.requests, 2);
-        assert_eq!(stats.batches, 2);
     }
 
     #[test]

@@ -228,12 +228,7 @@ impl VoyagerService {
     /// kernels are bitwise-identical per row for any batch size, so a
     /// row's answer does not depend on the rows that share its
     /// sub-batch.
-    ///
-    /// Every mode answers through here, although only table mode has
-    /// the tier the function is named for: it builds `forward_batch`'s
-    /// reply vector, the one allocation the analyzer sanctions on this
-    /// path, and the walk still enters everything it calls.
-    fn forward_table(
+    fn answer_batch(
         &mut self,
         requests: &[InferenceRequest],
     ) -> Vec<Result<Candidates, InvalidWindow>> {
@@ -298,7 +293,7 @@ impl BatchModel for VoyagerService {
     type Response = Result<Candidates, InvalidWindow>;
 
     fn forward_batch(&mut self, requests: &[InferenceRequest]) -> Vec<Self::Response> {
-        self.forward_table(requests)
+        self.answer_batch(requests)
     }
 }
 
@@ -332,6 +327,109 @@ mod tests {
             let (first, second) = (alone(0), alone(1));
             let mixed = svc.forward_batch(&[window(0), bad.clone(), window(1)]);
             assert_eq!(mixed, [first, Err(rejected), second], "{mode:?}");
+        }
+    }
+
+    /// A seeded fuzz loop over requests: each stream's window is empty,
+    /// one short, one long or exact, and some tokens sit at or past
+    /// their embedding's size. The requests are served in random batch
+    /// sizes in every mode, table mode on tables distilled from half of
+    /// the valid windows. Every reply is the request's
+    /// `check_window` verdict, and a valid request gets the candidates
+    /// it gets when served alone.
+    #[test]
+    fn fuzzed_requests_get_their_check_verdict_or_their_answer_alone() {
+        use voyager_distill::{distill, TableConfig};
+        use voyager_tensor::rng::{Rng, SeedableRng, StdRng};
+
+        let cfg = VoyagerConfig::test();
+        let seq = cfg.seq_len;
+        let (pcs, pages, offsets) = (16, 32, 64);
+        let model = || VoyagerModel::new(&cfg, pcs, pages, offsets);
+        let mut rng = StdRng::seed_from_u64(0xF022_5EED);
+        let mut window = |vocab: usize| -> Vec<usize> {
+            let len = match rng.gen_range(0..10u32) {
+                0 => 0,
+                1 => seq - 1,
+                2 => seq + 1,
+                _ => seq,
+            };
+            (0..len)
+                .map(|_| match rng.gen_range(0..16u32) {
+                    0 => vocab + rng.gen_range(0..2usize),
+                    _ => rng.gen_range(0..vocab),
+                })
+                .collect()
+        };
+        let requests: Vec<InferenceRequest> = (0..600)
+            .map(|_| InferenceRequest {
+                workload: WorkloadId(0),
+                pc: window(pcs),
+                page: window(pages),
+                offset: window(offsets),
+            })
+            .collect();
+        let reference = model();
+        let verdicts: Vec<_> = requests
+            .iter()
+            .map(|r| reference.check_window(&r.pc, &r.page, &r.offset))
+            .collect();
+        let valid: Vec<&InferenceRequest> = requests
+            .iter()
+            .zip(&verdicts)
+            .filter_map(|(r, v)| v.is_ok().then_some(r))
+            .collect();
+        assert!(
+            (50..200).contains(&valid.len()),
+            "{} valid requests",
+            valid.len()
+        );
+
+        let mut corpus = SeqBatch::default();
+        for r in valid.iter().step_by(2) {
+            corpus.pc.push(r.pc.clone());
+            corpus.page.push(r.page.clone());
+            corpus.offset.push(r.offset.clone());
+        }
+        let mut teacher = model();
+        let (tables, _) = distill(&mut teacher, &corpus, &TableConfig::for_budget(64 * 1024));
+        let hits = valid
+            .iter()
+            .filter(|r| tables.predict_quiet(&r.page, r.pc[seq - 1], 2).is_some())
+            .count();
+        assert!(0 < hits && hits < valid.len(), "{hits} table hits");
+
+        let services = [
+            ServiceConfig::new(2).build(model()),
+            ServiceConfig::new(2)
+                .mode(PredictMode::FastInt8)
+                .build(model()),
+            ServiceConfig::new(2)
+                .mode(PredictMode::Table)
+                .tables(tables)
+                .build(teacher),
+        ];
+        for svc in services {
+            let mut svc = svc.expect("every mode gets what it needs");
+            let mode = svc.mode();
+            let mut start = 0;
+            while start < requests.len() {
+                let end = (start + rng.gen_range(1..10usize)).min(requests.len());
+                let replies = svc.forward_batch(&requests[start..end]);
+                assert_eq!(replies.len(), end - start, "{mode:?}");
+                for (i, reply) in (start..end).zip(replies) {
+                    let ctx = format!("{mode:?} request {i}: {:?}", requests[i]);
+                    match &verdicts[i] {
+                        Err(invalid) => assert_eq!(reply, Err(*invalid), "{ctx}"),
+                        Ok(()) => {
+                            let alone = svc.forward_batch(&requests[i..=i]).remove(0);
+                            assert!(alone.is_ok(), "{ctx}");
+                            assert_eq!(reply, alone, "{ctx}");
+                        }
+                    }
+                }
+                start = end;
+            }
         }
     }
 }

@@ -1,25 +1,6 @@
-//! Set-associative cache with prefetch tracking and pluggable
-//! replacement (LRU or SRRIP).
+//! Set-associative LRU cache with prefetch tracking.
 
 use crate::CacheConfig;
-
-/// Cache replacement policy.
-///
-/// The paper's simulator uses LRU; SRRIP (Jaleel et al., ISCA 2010) is
-/// provided as an extension because the interaction between prefetch
-/// insertion and replacement is a classical evaluation axis (prefetched
-/// lines are inserted with a distant re-reference prediction under
-/// SRRIP, limiting pollution from inaccurate prefetchers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplacementPolicy {
-    /// True least-recently-used.
-    #[default]
-    Lru,
-    /// Static re-reference interval prediction with 2-bit RRPVs.
-    Srrip,
-}
-
-const RRPV_MAX: u8 = 3;
 
 /// Tag of an empty way. No line number reaches it: a line is a byte
 /// address divided by 64.
@@ -28,8 +9,6 @@ const EMPTY: u64 = u64::MAX;
 /// A way's state beside its tag and LRU stamp.
 #[derive(Debug, Clone, Copy)]
 struct WayState {
-    /// Re-reference prediction value (SRRIP).
-    rrpv: u8,
     /// Set when the line was brought in by a prefetch and has not yet
     /// served a demand access.
     prefetched: bool,
@@ -38,10 +17,8 @@ struct WayState {
     ready_at: f64,
 }
 
-/// The state of a way never filled. Its RRPV is the distant one, so
-/// SRRIP's first way at `RRPV_MAX` is also its first empty way.
+/// The state of a way never filled.
 const EMPTY_STATE: WayState = WayState {
-    rrpv: RRPV_MAX,
     prefetched: false,
     ready_at: 0.0,
 };
@@ -88,7 +65,6 @@ pub struct Cache {
     ways: usize,
     /// `sets - 1`; set counts are powers of two.
     set_mask: usize,
-    policy: ReplacementPolicy,
     /// Each way's line, set by set; [`EMPTY`] for a way never filled.
     /// A line is in at most one way.
     tags: Vec<u64>,
@@ -113,22 +89,11 @@ impl Cache {
     /// Panics if the geometry is inconsistent (see
     /// [`CacheConfig::sets`]).
     pub fn new(config: &CacheConfig) -> Self {
-        Cache::with_policy(config, ReplacementPolicy::Lru)
-    }
-
-    /// Creates an empty cache with an explicit replacement policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is inconsistent (see
-    /// [`CacheConfig::sets`]).
-    pub fn with_policy(config: &CacheConfig, policy: ReplacementPolicy) -> Self {
         let sets = config.sets();
         let n = sets * config.ways;
         Cache {
             ways: config.ways,
             set_mask: sets - 1,
-            policy,
             tags: vec![EMPTY; n],
             stamps: vec![0; n],
             state: vec![EMPTY_STATE; n],
@@ -171,7 +136,6 @@ impl Cache {
         };
         self.stamps[w] = self.stamp;
         let way = &mut self.state[w];
-        way.rrpv = 0; // hit promotion (SRRIP)
         LookupResult {
             hit: true,
             first_use_of_prefetch: std::mem::take(&mut way.prefetched),
@@ -185,14 +149,9 @@ impl Cache {
         self.find(line).is_some()
     }
 
-    /// Inserts `line`, evicting a victim chosen by the replacement
-    /// policy if needed; does nothing if `line` is already present.
-    /// `prefetch` marks the line as prefetched with data arriving at
-    /// `ready_at`.
-    ///
-    /// Under SRRIP, demand fills insert with a long re-reference
-    /// prediction (RRPV 2) and prefetch fills with a distant one
-    /// (RRPV 3), so useless prefetches are first in line for eviction.
+    /// Inserts `line`, evicting the set's least recently used line if
+    /// needed; does nothing if `line` is already present. `prefetch`
+    /// marks the line as prefetched with data arriving at `ready_at`.
     pub fn fill(&mut self, line: u64, ready_at: f64, prefetch: bool) {
         if !self.contains(line) {
             self.insert(line, ready_at, prefetch);
@@ -206,36 +165,22 @@ impl Cache {
         self.stamp += 1;
         let start = self.set_start(line);
         let end = start + self.ways;
+        // The first empty way, else the least recent one. (`min_by_key`
+        // compiles to conditional moves; the same search as an
+        // `if stamp < oldest` loop compiled to data-dependent branches
+        // and ran slower.)
         let victim = start
-            + match self.policy {
-                // The first empty way, else the least recent one.
-                // (`min_by_key` compiles to conditional moves; the same
-                // search as an `if stamp < oldest` loop compiled to
-                // data-dependent branches and ran slower.)
-                ReplacementPolicy::Lru => self.stamps[start..end]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &stamp)| stamp)
-                    .map_or(0, |(i, _)| i),
-                // The first way at RRPV_MAX (empty ways are), aging the
-                // set until one exists.
-                ReplacementPolicy::Srrip => loop {
-                    let set = &mut self.state[start..end];
-                    if let Some(i) = set.iter().position(|w| w.rrpv == RRPV_MAX) {
-                        break i;
-                    }
-                    for w in set {
-                        w.rrpv = (w.rrpv + 1).min(RRPV_MAX);
-                    }
-                },
-            };
+            + self.stamps[start..end]
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &stamp)| stamp)
+                .map_or(0, |(i, _)| i);
         if self.state[victim].prefetched {
             self.prefetches_evicted_unused += 1;
         }
         self.tags[victim] = line;
         self.stamps[victim] = self.stamp;
         self.state[victim] = WayState {
-            rrpv: if prefetch { RRPV_MAX } else { RRPV_MAX - 1 },
             prefetched: prefetch,
             ready_at,
         };
@@ -258,11 +203,6 @@ impl Cache {
         } else {
             self.misses as f64 / self.accesses as f64
         }
-    }
-
-    /// The replacement policy in use.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
     }
 }
 
@@ -332,42 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn srrip_evicts_distant_rrpv_first() {
-        let cfg = CacheConfig {
-            bytes: 4 * 64,
-            ways: 2,
-            latency: 1,
-        };
-        let mut c = Cache::with_policy(&cfg, ReplacementPolicy::Srrip);
-        assert_eq!(c.policy(), ReplacementPolicy::Srrip);
-        // Fill set 0 with a demand line (RRPV 2) and a prefetch (RRPV 3).
-        c.fill(0, 0.0, false);
-        c.fill(2, 0.0, true);
-        // Next fill evicts the prefetched line (distant prediction).
-        c.fill(4, 0.0, false);
-        assert!(c.contains(0), "demand line survived");
-        assert!(!c.contains(2), "unused prefetch evicted first");
-    }
-
-    #[test]
-    fn srrip_hit_promotion_protects_lines() {
-        let cfg = CacheConfig {
-            bytes: 4 * 64,
-            ways: 2,
-            latency: 1,
-        };
-        let mut c = Cache::with_policy(&cfg, ReplacementPolicy::Srrip);
-        c.fill(0, 0.0, false);
-        c.fill(2, 0.0, false);
-        // Promote line 2 to RRPV 0; line 0 stays at RRPV 2 and should
-        // age out first.
-        assert!(c.demand_access(2, 0.0));
-        c.fill(4, 0.0, false);
-        assert!(c.contains(2));
-        assert!(!c.contains(0));
-    }
-
-    #[test]
     fn miss_ratio_tracks_accesses() {
         let mut c = tiny();
         assert_eq!(c.miss_ratio(), 0.0);
@@ -390,14 +294,13 @@ mod tests {
     /// checks presence before every fill: the model the tag, stamp and
     /// state arrays replaced, kept as their reference.
     mod reference {
-        use super::super::{LookupResult, ReplacementPolicy, RRPV_MAX};
+        use super::super::LookupResult;
 
         #[derive(Clone, Copy)]
         struct Line {
             tag: u64,
             valid: bool,
             lru: u64,
-            rrpv: u8,
             prefetched: bool,
             ready_at: f64,
         }
@@ -406,7 +309,6 @@ mod tests {
             tag: 0,
             valid: false,
             lru: 0,
-            rrpv: RRPV_MAX,
             prefetched: false,
             ready_at: 0.0,
         };
@@ -414,7 +316,6 @@ mod tests {
         pub(super) struct Cache {
             sets: usize,
             ways: usize,
-            policy: ReplacementPolicy,
             lines: Vec<Line>,
             stamp: u64,
             pub(super) accesses: u64,
@@ -423,11 +324,10 @@ mod tests {
         }
 
         impl Cache {
-            pub(super) fn new(sets: usize, ways: usize, policy: ReplacementPolicy) -> Self {
+            pub(super) fn new(sets: usize, ways: usize) -> Self {
                 Cache {
                     sets,
                     ways,
-                    policy,
                     lines: vec![INVALID; sets * ways],
                     stamp: 0,
                     accesses: 0,
@@ -456,7 +356,6 @@ mod tests {
                 for l in &mut self.lines[range] {
                     if l.valid && l.tag == line {
                         l.lru = self.stamp;
-                        l.rrpv = 0;
                         let first_use = l.prefetched;
                         l.prefetched = false;
                         let residual = (l.ready_at - now).max(0.0);
@@ -488,33 +387,20 @@ mod tests {
                 let range = self.set_range(line);
                 let (lo, hi) = (range.start, range.end);
                 let stamp = self.stamp;
-                let victim_idx = match self.policy {
-                    ReplacementPolicy::Lru => self.lines[lo..hi]
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, l)| if l.valid { l.lru } else { 0 })
-                        .map(|(i, _)| i)
-                        .unwrap_or(0),
-                    ReplacementPolicy::Srrip => loop {
-                        let set = &self.lines[lo..hi];
-                        if let Some(i) = set.iter().position(|l| !l.valid || l.rrpv == RRPV_MAX) {
-                            break i;
-                        }
-                        for l in &mut self.lines[lo..hi] {
-                            l.rrpv = (l.rrpv + 1).min(RRPV_MAX);
-                        }
-                    },
-                };
+                let victim_idx = self.lines[lo..hi]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| if l.valid { l.lru } else { 0 })
+                    .map(|(i, _)| i)
+                    .unwrap_or(0);
                 let victim = &mut self.lines[lo..hi][victim_idx];
                 if victim.valid && victim.prefetched {
                     self.prefetches_evicted_unused += 1;
                 }
-                let rrpv = if prefetch { RRPV_MAX } else { RRPV_MAX - 1 };
                 *victim = Line {
                     tag: line,
                     valid: true,
                     lru: stamp,
-                    rrpv,
                     prefetched: prefetch,
                     ready_at,
                 };
@@ -530,15 +416,15 @@ mod tests {
     /// sequence of lookups, fills (public and after a miss) and
     /// presence probes over a few lines per way, comparing every
     /// result, the ways' contents after every step, and the counters.
-    fn agree_with_reference(sets: usize, ways: usize, policy: ReplacementPolicy, seed: u64) {
+    fn agree_with_reference(sets: usize, ways: usize, seed: u64) {
         use voyager_trace::rng::{Rng, SeedableRng, StdRng};
         let cfg = CacheConfig {
             bytes: sets * ways * 64,
             ways,
             latency: 1,
         };
-        let mut c = Cache::with_policy(&cfg, policy);
-        let mut r = reference::Cache::new(sets, ways, policy);
+        let mut c = Cache::new(&cfg);
+        let mut r = reference::Cache::new(sets, ways);
         let mut rng = StdRng::seed_from_u64(seed);
         let span = (3 * sets * ways) as u64;
         let mut now = 0.0;
@@ -584,34 +470,21 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            agree_with_reference(sets, ways, ReplacementPolicy::Lru, seed as u64);
-        }
-    }
-
-    #[test]
-    fn srrip_matches_reference() {
-        for (seed, (sets, ways)) in [(1, 2), (2, 2), (4, 4), (16, 8), (8, 16)]
-            .into_iter()
-            .enumerate()
-        {
-            agree_with_reference(sets, ways, ReplacementPolicy::Srrip, 10 + seed as u64);
+            agree_with_reference(sets, ways, seed as u64);
         }
     }
 
     #[test]
     fn empty_ways_fill_in_order_under_both_policies() {
-        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Srrip] {
-            let cfg = CacheConfig {
-                bytes: 4 * 64,
-                ways: 4,
-                latency: 1,
-            };
-            let mut c = Cache::with_policy(&cfg, policy);
-            for line in [40, 10, 30, 20] {
-                c.fill(line, 0.0, false);
-            }
-            assert_eq!(layout(&c), vec![Some(40), Some(10), Some(30), Some(20)]);
+        let mut c = Cache::new(&CacheConfig {
+            bytes: 4 * 64,
+            ways: 4,
+            latency: 1,
+        });
+        for line in [40, 10, 30, 20] {
+            c.fill(line, 0.0, false);
         }
+        assert_eq!(layout(&c), vec![Some(40), Some(10), Some(30), Some(20)]);
     }
 
     #[test]

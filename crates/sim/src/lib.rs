@@ -42,7 +42,7 @@ mod config;
 mod engine;
 mod metrics;
 
-pub use cache::{Cache, ReplacementPolicy};
+pub use cache::Cache;
 pub use config::{CacheConfig, SimConfig};
 pub use engine::{llc_stream, simulate, Hierarchy, SimOutcome};
 pub use metrics::{

@@ -36,18 +36,15 @@
 //! `fmla` in the vector tiles. An IEEE-754 fma is correctly rounded,
 //! so the same chain produces the same bits on every host; blocking,
 //! packing (zero padding is exact: `fma(0, 0, acc) == acc`), the
-//! padded rows and columns of an edge tile (computed, never stored),
-//! tile shape, and row partitioning change *which elements* are
-//! computed when, never the arithmetic *within* an element. Naive,
-//! every tier, and the row-partitioned parallel driver (see
-//! `voyager-runtime`) are therefore all bitwise-identical, on and
-//! across hosts. On x86-64 the scalar tile and the naive kernel are
+//! padded rows and columns of an edge tile (computed, never stored) and
+//! tile shape change *which elements* are computed when, never the
+//! arithmetic *within* an element. Naive and every tier are therefore
+//! bitwise-identical, on and across hosts. On x86-64 the scalar tile
+//! and the naive kernel are
 //! compiled twice — once plain, once with the `fma` target feature —
 //! and the fast copy is picked at runtime, so neither pays a libm
 //! `fmaf` call per element on FMA hardware (the bits are identical
 //! either way).
-
-use std::ops::Range;
 
 use crate::simd;
 use crate::Tensor2;
@@ -168,7 +165,8 @@ pub fn gemm(a: &Tensor2, b: &Tensor2, layout: Layout, out: &mut Tensor2) {
     let (m, n, k) = gemm_dims(a, b, layout);
     note_gemm(m, n, k);
     reshape_for_output(out, m, n);
-    gemm_rows_impl(a, b, layout, 0..m, out.as_mut_slice(), false);
+    let (a, bver, b) = (a.as_slice(), b.version(), b.as_slice());
+    gemm_impl(a, b, layout, m, n, k, out.as_mut_slice(), false, bver);
 }
 
 /// Matrix multiply-accumulate `out += a ? b` for the given
@@ -182,39 +180,8 @@ pub fn gemm_acc(a: &Tensor2, b: &Tensor2, layout: Layout, out: &mut Tensor2) {
     let (m, n, k) = gemm_dims(a, b, layout);
     note_gemm(m, n, k);
     assert_eq!(out.shape(), (m, n), "gemm_acc output shape mismatch");
-    gemm_rows_impl(a, b, layout, 0..m, out.as_mut_slice(), true);
-}
-
-/// Computes output rows `rows` of `a ? b` into `out_rows`
-/// (`rows.len() * n` elements, row-major, overwritten).
-///
-/// This is the unit of work for row-partitioned parallel GEMM: the
-/// driver splits the output into disjoint row ranges and calls this
-/// kernel on each, which is bitwise-identical to a single
-/// whole-matrix call at any partitioning — including empty ranges and
-/// ranges not aligned to any tier's tile height.
-///
-/// # Panics
-///
-/// Panics if shapes disagree, `rows` exceeds `m`, or `out_rows` has
-/// the wrong length.
-pub fn gemm_rows(
-    a: &Tensor2,
-    b: &Tensor2,
-    layout: Layout,
-    rows: Range<usize>,
-    out_rows: &mut [f32],
-) {
-    gemm_rows_impl(a, b, layout, rows, out_rows, false);
-}
-
-/// The active tier's register-tile height `MR` — the row granularity
-/// at which parallel drivers should cut [`gemm_rows`] partitions so
-/// chunk boundaries fall on tile edges. Misaligned cuts are still
-/// *correct* (and bitwise-identical); they just waste a padded tail
-/// tile per chunk.
-pub fn gemm_row_alignment() -> usize {
-    simd::active_isa().tile_dims().0
+    let (a, bver, b) = (a.as_slice(), b.version(), b.as_slice());
+    gemm_impl(a, b, layout, m, n, k, out.as_mut_slice(), true, bver);
 }
 
 /// Ensures `out` is an `[m, n]` tensor, reusing its buffer.
@@ -222,34 +189,6 @@ fn reshape_for_output(out: &mut Tensor2, m: usize, n: usize) {
     if out.shape() != (m, n) {
         *out = Tensor2::zeros(m, n);
     }
-}
-
-fn check_rows(m: usize, n: usize, rows: &Range<usize>, out_len: usize) {
-    assert!(
-        rows.start <= rows.end && rows.end <= m,
-        "row range {rows:?} out of bounds for {m} rows"
-    );
-    assert_eq!(
-        out_len,
-        rows.len() * n,
-        "output slice holds {out_len} elements, need {} for {} rows of {n}",
-        rows.len() * n,
-        rows.len()
-    );
-}
-
-fn gemm_rows_impl(
-    a: &Tensor2,
-    b: &Tensor2,
-    layout: Layout,
-    rows: Range<usize>,
-    out_rows: &mut [f32],
-    acc: bool,
-) {
-    let (m, n, k) = gemm_dims(a, b, layout);
-    check_rows(m, n, &rows, out_rows.len());
-    let (a, bver, b) = (a.as_slice(), b.version(), b.as_slice());
-    rows_impl(a, b, layout, m, n, k, rows, out_rows, acc, bver);
 }
 
 /// Matrix multiply over raw slices: `out (+)= a ? b` with explicit
@@ -281,14 +220,14 @@ pub fn gemm_slices(
     assert_eq!(b.len(), k * n, "gemm_slices rhs length mismatch");
     assert_eq!(out.len(), m * n, "gemm_slices output length mismatch");
     note_gemm(m, n, k);
-    rows_impl(a, b, layout, m, n, k, 0..m, out, accumulate, 0);
+    gemm_impl(a, b, layout, m, n, k, out, accumulate, 0);
 }
 
 /// `out (+)= a ? b` for `m` row-major rows `a` cut from a larger buffer
 /// (`[m, k]`, so `layout` is `NN` or `NT`) against a whole tensor `b`:
 /// [`gemm_slices`] that keeps `b`'s content version, so the LSTM's
 /// per-step products against the same recurrent weights reuse its
-/// packed panels wherever `b` is packed (see `simd::gemm_rows_simd`).
+/// packed panels wherever `b` is packed (see `simd::gemm_simd`).
 /// Bitwise-identical to [`gemm_slices`].
 ///
 /// # Panics
@@ -315,32 +254,31 @@ pub(crate) fn gemm_rows_against(
     assert_eq!(out.len(), m * n, "gemm_rows_against output length mismatch");
     note_gemm(m, n, k);
     let (bver, b) = (b.version(), b.as_slice());
-    rows_impl(a, b, layout, m, n, k, 0..m, out, accumulate, bver);
+    gemm_impl(a, b, layout, m, n, k, out, accumulate, bver);
 }
 
-/// Rows `rows` of `a ? b` on the active tier (see [`active_isa`]),
-/// after the shapes were checked.
+/// `a ? b` into the `[m, n]` `out` on the active tier (see
+/// [`active_isa`]), after the shapes were checked.
 #[allow(clippy::too_many_arguments)]
-fn rows_impl(
+fn gemm_impl(
     a: &[f32],
     b: &[f32],
     layout: Layout,
     m: usize,
     n: usize,
     k: usize,
-    rows: Range<usize>,
-    out_rows: &mut [f32],
+    out: &mut [f32],
     acc: bool,
     b_version: u64,
 ) {
-    if n == 0 || rows.is_empty() {
+    if n == 0 || m == 0 {
         return;
     }
     if k == 0 {
         // An empty reduction contributes exactly 0.0 to every element,
         // same as the reference's zero-length accumulator chain (the
         // `+= 0.0` matters bitwise: it normalises -0.0 in `out`).
-        for o in out_rows.iter_mut() {
+        for o in out.iter_mut() {
             if acc {
                 *o += 0.0;
             } else {
@@ -350,7 +288,7 @@ fn rows_impl(
         return;
     }
     let isa = simd::active_isa();
-    simd::gemm_rows_simd(isa, a, b, layout, m, n, k, rows, out_rows, acc, b_version);
+    simd::gemm_simd(isa, a, b, layout, m, n, k, out, acc, b_version);
 }
 
 /// Reference kernel: the straightforward triple loop, one sequential
@@ -365,27 +303,23 @@ pub fn naive_gemm(a: &Tensor2, b: &Tensor2, layout: Layout, out: &mut Tensor2) {
     let (m, n, k) = gemm_dims(a, b, layout);
     reshape_for_output(out, m, n);
     let (a, b) = (a.as_slice(), b.as_slice());
-    simd::run_naive(a, b, layout, m, n, k, 0..m, out.as_mut_slice(), false);
+    simd::run_naive(a, b, layout, m, n, k, out.as_mut_slice());
 }
 
 /// Naive kernel body, shared by the plain and `fma`-target-feature
 /// compilations picked in [`simd::run_naive`].
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn naive_rows_body(
+pub(crate) fn naive_body(
     a: &[f32],
     b: &[f32],
     layout: Layout,
     m: usize,
     n: usize,
     k: usize,
-    rows: Range<usize>,
-    out_rows: &mut [f32],
-    acc: bool,
+    out: &mut [f32],
 ) {
-    for i in rows.start..rows.end {
-        let out_row = &mut out_rows[(i - rows.start) * n..(i - rows.start + 1) * n];
-        for (j, o) in out_row.iter_mut().enumerate() {
+    for i in 0..m {
+        for (j, o) in out[i * n..(i + 1) * n].iter_mut().enumerate() {
             let mut s = 0.0f32;
             for p in 0..k {
                 let (x, y) = match layout {
@@ -395,11 +329,7 @@ pub(crate) fn naive_rows_body(
                 };
                 s = x.mul_add(y, s);
             }
-            if acc {
-                *o += s;
-            } else {
-                *o = s;
-            }
+            *o = s;
         }
     }
 }
@@ -613,19 +543,13 @@ mod tests {
             .collect()
     }
 
-    /// Rows `rows` of `a ? b` through the SIMD driver on an explicit
-    /// tier, bypassing dispatch.
-    fn gemm_rows_on(
-        isa: Isa,
-        a: &Tensor2,
-        b: &Tensor2,
-        layout: Layout,
-        rows: Range<usize>,
-    ) -> Vec<f32> {
+    /// `a ? b` through the SIMD driver on an explicit tier, bypassing
+    /// dispatch.
+    fn gemm_on(isa: Isa, a: &Tensor2, b: &Tensor2, layout: Layout) -> Vec<f32> {
         let (m, n, k) = gemm_dims(a, b, layout);
-        let mut out = vec![f32::NAN; rows.len() * n];
+        let mut out = vec![f32::NAN; m * n];
         let (a, bv, b) = (a.as_slice(), b.version(), b.as_slice());
-        simd::gemm_rows_simd(isa, a, b, layout, m, n, k, rows, &mut out, false, bv);
+        simd::gemm_simd(isa, a, b, layout, m, n, k, &mut out, false, bv);
         out
     }
 
@@ -710,7 +634,7 @@ mod tests {
                 // Every tier the host has, through the driver.
                 for isa in host_tiers() {
                     assert_bits_eq(
-                        &gemm_rows_on(isa, &a, &b, layout, 0..m),
+                        &gemm_on(isa, &a, &b, layout),
                         reference.as_slice(),
                         &format!("{ctx} ({})", isa.name()),
                     );
@@ -771,57 +695,6 @@ mod tests {
     }
 
     #[test]
-    fn row_partition_is_bitwise_identical_to_whole_call() {
-        let mut rng = thread_rng();
-        for layout in LAYOUTS {
-            let (m, n, k) = (13, 11, 9);
-            let (a, b) = operands(m, n, k, layout, &mut rng);
-            let mut whole = Tensor2::zeros(1, 1);
-            gemm(&a, &b, layout, &mut whole);
-            // Uneven three-way partition.
-            let mut parts = vec![0.0f32; m * n];
-            for (lo, hi) in [(0usize, 5usize), (5, 6), (6, m)] {
-                gemm_rows(&a, &b, layout, lo..hi, &mut parts[lo * n..hi * n]);
-            }
-            assert_bits_eq(whole.as_slice(), &parts, &format!("{layout:?}"));
-        }
-    }
-
-    #[test]
-    fn gemm_rows_empty_and_unaligned_ranges_are_exact() {
-        let _guard = simd::test_toggle_lock();
-        let mut rng = thread_rng();
-        let (m, n, k) = (19, 23, 11);
-        for layout in LAYOUTS {
-            let (a, b) = operands(m, n, k, layout, &mut rng);
-            let mut whole = Tensor2::zeros(1, 1);
-            gemm(&a, &b, layout, &mut whole);
-            for force in [false, true] {
-                set_force_scalar(force);
-                // Degenerate (empty) ranges: no output, no panic.
-                for lo in [0usize, 7, m] {
-                    let mut empty: [f32; 0] = [];
-                    gemm_rows(&a, &b, layout, lo..lo, &mut empty);
-                }
-                // Partition at cuts not aligned to any tier's tile
-                // height (1- and 6-row blocks, plus tails) — exercises
-                // the clipped tail store of every tile shape.
-                let cuts = [0usize, 1, 6, 7, 13, m];
-                let mut parts = vec![0.0f32; m * n];
-                for w in cuts.windows(2) {
-                    gemm_rows(&a, &b, layout, w[0]..w[1], &mut parts[w[0] * n..w[1] * n]);
-                }
-                assert_bits_eq(
-                    whole.as_slice(),
-                    &parts,
-                    &format!("{layout:?} force_scalar={force}"),
-                );
-            }
-            set_force_scalar(false);
-        }
-    }
-
-    #[test]
     fn property_random_shapes_agree_across_dispatch_paths() {
         let _guard = simd::test_toggle_lock();
         // Seeded loop: deterministic shapes and data, byte-stable
@@ -845,7 +718,7 @@ mod tests {
             assert_bits_eq(fast.as_slice(), reference.as_slice(), &ctx);
             assert_bits_eq(slow.as_slice(), reference.as_slice(), &ctx);
             for isa in host_tiers() {
-                let on = gemm_rows_on(isa, &a, &b, layout, 0..m);
+                let on = gemm_on(isa, &a, &b, layout);
                 assert_bits_eq(
                     &on,
                     reference.as_slice(),
@@ -966,13 +839,8 @@ mod tests {
                 naive_gemm(&a, &b, layout, &mut reference);
                 for &isa in &tiers {
                     let ctx = format!("{layout:?} {m}x{n}x{k} ({})", isa.name());
-                    let got = gemm_rows_on(isa, &a, &b, layout, 0..m);
+                    let got = gemm_on(isa, &a, &b, layout);
                     assert_bits_eq(&got, reference.as_slice(), &ctx);
-                    // Row ranges that start inside a tile of every tier.
-                    for lo in [1, 3, 5, 7].into_iter().filter(|&lo| lo < m) {
-                        let part = gemm_rows_on(isa, &a, &b, layout, lo..m);
-                        assert_bits_eq(&part, &reference.as_slice()[lo * n..], &ctx);
-                    }
                 }
             }
         }
@@ -1004,19 +872,19 @@ mod tests {
             for layout in [Layout::NN, Layout::TN] {
                 let (a, b) = operands(9, 40, 6, layout, &mut rng);
                 for _ in 0..3 {
-                    gemm_rows_on(isa, &a, &b, layout, 0..9);
+                    gemm_on(isa, &a, &b, layout);
                 }
                 assert_eq!(simd::pack::b_cache_len(), 0, "{layout:?} ({})", isa.name());
             }
             let (a, b) = operands(9, 40, 6, Layout::NT, &mut rng);
-            gemm_rows_on(isa, &a, &b, Layout::NT, 0..9);
+            gemm_on(isa, &a, &b, Layout::NT);
             assert_eq!(
                 simd::pack::b_cache_len(),
                 0,
                 "NT first miss ({})",
                 isa.name()
             );
-            gemm_rows_on(isa, &a, &b, Layout::NT, 0..9);
+            gemm_on(isa, &a, &b, Layout::NT);
             assert_eq!(
                 simd::pack::b_cache_len(),
                 1,
@@ -1024,8 +892,8 @@ mod tests {
                 isa.name()
             );
             let (a, b) = operands(3, 1024, 4, Layout::NN, &mut rng);
-            gemm_rows_on(isa, &a, &b, Layout::NN, 0..3);
-            gemm_rows_on(isa, &a, &b, Layout::NN, 0..3);
+            gemm_on(isa, &a, &b, Layout::NN);
+            gemm_on(isa, &a, &b, Layout::NN);
             assert_eq!(simd::pack::b_cache_len(), 2, "wide NN ({})", isa.name());
             simd::clear_packed_b_cache();
         }

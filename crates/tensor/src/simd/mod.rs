@@ -5,8 +5,8 @@
 //! (`is_x86_feature_detected!` on x86-64, baseline NEON on aarch64)
 //! and route every kernel invocation through it. Two drivers serve
 //! the four tiers: the x86 tiers read their operands in place
-//! (`gemm_rows_in_place`), and NEON and the portable scalar tier pack
-//! them into panels first (`gemm_rows_packed`). The value
+//! (`gemm_in_place`), and NEON and the portable scalar tier pack
+//! them into panels first (`gemm_packed`). The value
 //! reference every tier is tested against is
 //! [`naive_gemm`](crate::kernels::naive_gemm).
 //!
@@ -175,7 +175,6 @@ pub(crate) fn fma_available() -> bool {
 }
 
 use crate::kernels::Layout;
-use std::ops::Range;
 
 /// Cache-blocking budget for one group of A row blocks: sized to fit
 /// mid-level cache alongside one B panel on typical server parts
@@ -210,13 +209,11 @@ pub(crate) fn supports(isa: Isa) -> bool {
     }
 }
 
-/// The GEMM entry of every tier: computes rows `rows.start..rows.end`
-/// of the output into `out_rows` (row `i` lives at
-/// `(i - rows.start) * n`), matching the `gemm_rows` contract used by
-/// `par_gemm`.
+/// The GEMM entry of every tier: computes the whole `[m, n]` product
+/// into `out`.
 ///
 /// The x86 tiers read A and B in place; NEON and the scalar tier pack
-/// both first (see [`gemm_rows_packed`]). `b_version` is the B
+/// both first (see [`gemm_packed`]). `b_version` is the B
 /// operand's content-version stamp (`Tensor2::version`), or `0` for
 /// unversioned slice operands; it lets a driver that packs B serve the
 /// panels from the packed-B cache (see [`pack::cached_b`]).
@@ -225,7 +222,7 @@ pub(crate) fn supports(isa: Isa) -> bool {
 ///
 /// Panics if this CPU cannot run `isa` (see [`supports`]).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_rows_simd(
+pub(crate) fn gemm_simd(
     isa: Isa,
     a: &[f32],
     b: &[f32],
@@ -233,18 +230,15 @@ pub(crate) fn gemm_rows_simd(
     m: usize,
     n: usize,
     k: usize,
-    rows: Range<usize>,
-    out_rows: &mut [f32],
+    out: &mut [f32],
     acc: bool,
     b_version: u64,
 ) {
     assert!(supports(isa), "this CPU cannot run {} kernels", isa.name());
     match isa {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 | Isa::Avx512 => {
-            gemm_rows_in_place(isa, a, b, layout, m, n, k, rows, out_rows, acc, b_version)
-        }
-        _ => gemm_rows_packed(isa, a, b, layout, m, n, k, rows, out_rows, acc, b_version),
+        Isa::Avx2 | Isa::Avx512 => gemm_in_place(isa, a, b, layout, m, n, k, out, acc, b_version),
+        _ => gemm_packed(isa, a, b, layout, m, n, k, out, acc, b_version),
     }
 }
 
@@ -264,7 +258,7 @@ pub(crate) fn gemm_rows_simd(
 /// stay bitwise identical.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
-fn gemm_rows_in_place(
+fn gemm_in_place(
     isa: Isa,
     a: &[f32],
     b: &[f32],
@@ -272,8 +266,7 @@ fn gemm_rows_in_place(
     m: usize,
     n: usize,
     k: usize,
-    rows: Range<usize>,
-    out_rows: &mut [f32],
+    out: &mut [f32],
     acc: bool,
     b_version: u64,
 ) {
@@ -282,7 +275,7 @@ fn gemm_rows_in_place(
         Layout::TN => (1, m),
         Layout::NN | Layout::NT => (k, 1),
     };
-    let blocks = rows.len().div_ceil(mrw);
+    let blocks = m.div_ceil(mrw);
     let group = (GROUP_A_BYTES / (k * mrw * size_of::<f32>())).max(1);
     let mut sweep = |b: &[f32], packed: bool| {
         for g0 in (0..blocks).step_by(group) {
@@ -306,21 +299,18 @@ fn gemm_rows_in_place(
                     k,
                 };
                 for bi in g0..g1 {
-                    let i = rows.start + bi * mrw;
-                    let mr = mrw.min(rows.end - i);
-                    let r0 = i - rows.start;
+                    let i = bi * mrw;
+                    let mr = mrw.min(m - i);
                     match isa {
-                        // SAFETY: `gemm_rows_simd` asserted that this
-                        // CPU has avx512f (`supports`).
+                        // SAFETY: `gemm_simd` asserted that this CPU
+                        // has avx512f (`supports`).
                         Isa::Avx512 => unsafe {
-                            x86::tile_f32_avx512(&src, i, mr, jb, nr, out_rows, r0, j, n, acc)
+                            x86::tile_f32_avx512(&src, i, mr, jb, nr, out, j, n, acc)
                         },
                         // SAFETY: the only other tier routed here is
-                        // Avx2, and `gemm_rows_simd` asserted that this
-                        // CPU has avx2 and fma (`supports`).
-                        _ => unsafe {
-                            x86::tile_f32_avx2(&src, i, mr, jb, nr, out_rows, r0, j, n, acc)
-                        },
+                        // Avx2, and `gemm_simd` asserted that this CPU
+                        // has avx2 and fma (`supports`).
+                        _ => unsafe { x86::tile_f32_avx2(&src, i, mr, jb, nr, out, j, n, acc) },
                     }
                 }
             }
@@ -346,7 +336,7 @@ fn gemm_rows_in_place(
 /// layout-blind register tile over the panels with the same group
 /// blocking as the x86 driver.
 #[allow(clippy::too_many_arguments)]
-fn gemm_rows_packed(
+fn gemm_packed(
     isa: Isa,
     a: &[f32],
     b: &[f32],
@@ -354,8 +344,7 @@ fn gemm_rows_packed(
     m: usize,
     n: usize,
     k: usize,
-    rows: Range<usize>,
-    out_rows: &mut [f32],
+    out: &mut [f32],
     acc: bool,
     b_version: u64,
 ) {
@@ -374,8 +363,8 @@ fn gemm_rows_packed(
                 scratch_b
             }
         };
-        pack::pack_a(a, layout, m, k, rows.clone(), mrw, sa);
-        sweep_packed(isa, sa, sb, k, n, rows.len(), out_rows, acc);
+        pack::pack_a(a, layout, m, k, mrw, sa);
+        sweep_packed(isa, sa, sb, k, n, m, out, acc);
     });
 }
 
@@ -458,7 +447,7 @@ fn sweep_packed_body(
                 match isa {
                     #[cfg(target_arch = "aarch64")]
                     Isa::Neon => neon::tile_f32(apanel, bpanel, k, out_rows, r0, mr, j, n, nr, acc),
-                    // `gemm_rows_simd` routes only Scalar and NEON here.
+                    // `gemm_simd` routes only Scalar and NEON here.
                     _ => tile_f32_portable(apanel, bpanel, k, out_rows, r0, mr, j, n, nr, acc),
                 }
             }
@@ -556,7 +545,6 @@ pub(crate) fn store_clipped(
 
 /// Runs the naive reference kernel through its fastest compiled copy;
 /// same dual-compilation story as [`sweep_packed`].
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_naive(
     a: &[f32],
     b: &[f32],
@@ -564,38 +552,25 @@ pub(crate) fn run_naive(
     m: usize,
     n: usize,
     k: usize,
-    rows: Range<usize>,
-    out_rows: &mut [f32],
-    acc: bool,
+    out: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
     if fma_available() {
         // SAFETY: `fma_available` is true only after
         // `is_x86_feature_detected!("fma")` succeeded on this CPU, so
         // the target-feature contract of the clone holds.
-        unsafe { naive_rows_fma(a, b, layout, m, n, k, rows.clone(), out_rows, acc) };
+        unsafe { naive_fma(a, b, layout, m, n, k, out) };
         return;
     }
-    crate::kernels::naive_rows_body(a, b, layout, m, n, k, rows, out_rows, acc);
+    crate::kernels::naive_body(a, b, layout, m, n, k, out);
 }
 
 /// The naive kernel body compiled with the `fma` target feature — see
 /// [`run_naive`].
 #[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "fma")]
-fn naive_rows_fma(
-    a: &[f32],
-    b: &[f32],
-    layout: Layout,
-    m: usize,
-    n: usize,
-    k: usize,
-    rows: Range<usize>,
-    out_rows: &mut [f32],
-    acc: bool,
-) {
-    crate::kernels::naive_rows_body(a, b, layout, m, n, k, rows, out_rows, acc);
+fn naive_fma(a: &[f32], b: &[f32], layout: Layout, m: usize, n: usize, k: usize, out: &mut [f32]) {
+    crate::kernels::naive_body(a, b, layout, m, n, k, out);
 }
 
 /// Runs [`crate::infer::lstm_cell`]'s loops through their fastest

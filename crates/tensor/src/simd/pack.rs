@@ -86,7 +86,7 @@ pub(crate) fn for_each_zeroed_i8_strip(
 // activations always pack into the reusable thread scratch and never
 // allocate a cache entry. Entries are LRU-evicted beyond a byte and
 // entry budget. Everything is thread-local (no locks on the hot path);
-// a parallel driver's workers each warm their own copy.
+// each trainer replica's thread warms its own copy.
 //
 // Cache hits are bitwise-exact by construction: `pack_b` is
 // deterministic, and an unchanged version guarantees unchanged operand
@@ -226,9 +226,9 @@ fn evict(c: &mut BCache) {
     }
 }
 
-/// Packs rows `rows` of A into `ceil(rows.len() / mrw)` row-block
-/// panels laid out `[block][p][mrw]` in `dst`, zero-padding the last
-/// block's missing rows. For NN/NT, A is `[m, k]` row-major; for TN,
+/// Packs the `m` rows of A into `ceil(m / mrw)` row-block panels laid
+/// out `[block][p][mrw]` in `dst`, zero-padding the last block's
+/// missing rows. For NN/NT, A is `[m, k]` row-major; for TN,
 /// A is `[k, m]` (the pack is where the transpose happens, once per
 /// call instead of per tile visit).
 pub(crate) fn pack_a(
@@ -236,16 +236,14 @@ pub(crate) fn pack_a(
     layout: Layout,
     m: usize,
     k: usize,
-    rows: core::ops::Range<usize>,
     mrw: usize,
     dst: &mut Vec<f32>,
 ) {
-    debug_assert!(rows.end <= m);
-    let blocks = rows.len().div_ceil(mrw);
+    let blocks = m.div_ceil(mrw);
     dst.resize(blocks * k * mrw, 0.0);
     for bi in 0..blocks {
-        let i0 = rows.start + bi * mrw;
-        let mr = mrw.min(rows.end - i0);
+        let i0 = bi * mrw;
+        let mr = mrw.min(m - i0);
         let panel = &mut dst[bi * k * mrw..(bi + 1) * k * mrw];
         match (mr, mrw) {
             (8, 8) => pack_full_block::<8>(a, layout, m, k, i0, panel),
@@ -447,7 +445,7 @@ mod tests {
             (Layout::TN, &a_tn, 8),
         ] {
             let mut dst = vec![9.0; 3]; // stale junk must be overwritten
-            pack_a(a, layout, m, k, 0..m, mrw, &mut dst);
+            pack_a(a, layout, m, k, mrw, &mut dst);
             let blocks = m.div_ceil(mrw); // last block: mr = 1 < mrw
             assert_eq!(dst.len(), blocks * k * mrw);
             for bi in 0..blocks {

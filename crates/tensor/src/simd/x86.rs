@@ -112,7 +112,7 @@ fn reach(base: usize, stride: usize, k: usize, extent: usize) -> usize {
 /// twelve ymm accumulators, over A rows `i..i + mr` and the `nr ≤ 16`
 /// columns of `src.b` starting at `jb`. A panel narrower than 16 loads
 /// its columns with `vmaskmovps`; the result lands at rows
-/// `r0..r0 + mr`, columns `j0..j0 + nr` of `out` (row stride `n`).
+/// `i..i + mr`, columns `j0..j0 + nr` of `out` (row stride `n`).
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2,fma")]
 pub(crate) fn tile_f32_avx2(
@@ -122,7 +122,6 @@ pub(crate) fn tile_f32_avx2(
     jb: usize,
     nr: usize,
     out: &mut [f32],
-    r0: usize,
     j0: usize,
     n: usize,
     acc: bool,
@@ -168,7 +167,7 @@ pub(crate) fn tile_f32_avx2(
     }
     if mr == 6 && nr == 16 {
         for (r, cr) in c.iter().enumerate() {
-            let start = (r0 + r) * n + j0;
+            let start = (i + r) * n + j0;
             let dst = &mut out[start..start + 16];
             // SAFETY: `dst` is exactly 16 f32s by the slice op above.
             unsafe {
@@ -191,7 +190,7 @@ pub(crate) fn tile_f32_avx2(
                 _mm256_storeu_ps(spill.as_mut_ptr().add(r * 16 + 8), cr[1]);
             }
         }
-        store_clipped(&spill, 16, out, r0, mr, j0, n, nr, acc);
+        store_clipped(&spill, 16, out, i, mr, j0, n, nr, acc);
     }
 }
 
@@ -209,7 +208,6 @@ pub(crate) fn tile_f32_avx512(
     jb: usize,
     nr: usize,
     out: &mut [f32],
-    r0: usize,
     j0: usize,
     n: usize,
     acc: bool,
@@ -253,7 +251,7 @@ pub(crate) fn tile_f32_avx512(
     }
     if mr == 8 && nr == 32 {
         for (r, cr) in c.iter().enumerate() {
-            let start = (r0 + r) * n + j0;
+            let start = (i + r) * n + j0;
             let dst = &mut out[start..start + 32];
             // SAFETY: `dst` is exactly 32 f32s by the slice op above.
             unsafe {
@@ -276,7 +274,7 @@ pub(crate) fn tile_f32_avx512(
                 _mm512_storeu_ps(spill.as_mut_ptr().add(r * 32 + 16), cr[1]);
             }
         }
-        store_clipped(&spill, 32, out, r0, mr, j0, n, nr, acc);
+        store_clipped(&spill, 32, out, i, mr, j0, n, nr, acc);
     }
 }
 
